@@ -25,8 +25,9 @@ This module is the one supported way in::
 Everything here is a thin veneer over :class:`~repro.reuse.pipeline.ReusePipeline`,
 :class:`~repro.runtime.machine.Machine`, and the observability layer; the
 facade adds lifecycle (lazy profiling, per-opt program memoization, table
-warming, disk caching) and one stable result type.  The legacy entry
-point ``repro.runtime.run_source`` remains as a deprecated shim.
+warming, warm executables, disk caching) and one stable result type.  The
+legacy entry point ``repro.runtime.run_source`` remains as a deprecated
+shim.
 
 Input-literal parsing for the CLI also lives here
 (:func:`parse_input_literal` / :func:`parse_input_stream`): one parser for
@@ -344,6 +345,16 @@ class CompiledProgram:
     were given or :meth:`profile` was called.  With ``reuse=False`` the
     program executes unmodified (optimized when ``opt="O3"``).
 
+    Code is generated once per concurrent slot, not once per run: the
+    program keeps a pool of idle warm executables, each a
+    :class:`~repro.runtime.machine.Machine` plus the code compiled against
+    it.  A run takes one (compiling a new one only when the pool is
+    empty), re-arms it with :meth:`Machine.rearm`, and hands it back when
+    it returns, so the pool grows to the program's peak concurrency.  A
+    run that raises drops its executable.  Programs compiled with
+    ``profile=`` compile on every run, because their profiler and source
+    map are per run and bound into the code at compile time.
+
     Construct through :func:`repro.compile` or
     :meth:`Session.compile`; the constructor is considered internal and
     takes the consolidated :class:`CompileOptions` value.
@@ -384,6 +395,8 @@ class CompiledProgram:
         self._tables: Optional[dict] = None
         self.result: Optional[PipelineResult] = None
         self._programs: dict[str, object] = {}  # opt level -> executable AST
+        # idle warm executables: (Machine, runtime program) pairs
+        self._idle: list[tuple] = []
         # one lock makes lazy profiling and table building safe under
         # concurrent run() calls (the serving layer shares one compiled
         # program — and its warmed tables — across worker threads)
@@ -488,6 +501,16 @@ class CompiledProgram:
             return self._tables
         return self.result.build_tables(governed=self.governed)
 
+    def _take_executable(self) -> Optional[tuple]:
+        with self._lock:
+            return self._idle.pop() if self._idle else None
+
+    def _drop_executables(self) -> None:
+        """Release the idle warm executables (the session evicted or
+        closed this program); a later run compiles afresh."""
+        with self._lock:
+            self._idle.clear()
+
     # -- execution -----------------------------------------------------------
 
     def run(
@@ -502,7 +525,10 @@ class CompiledProgram:
         For ``reuse=True`` programs the first call profiles on these
         inputs unless profiling already happened.  Session-bound programs
         keep their (warmed) tables across calls; standalone programs
-        build fresh tables per run.  Per-run knobs travel in a
+        build fresh tables per run.  Either way the run executes on a
+        warm executable from the program's pool when one is idle, so
+        code generation is paid once per concurrent slot (observer-
+        profiled programs excepted).  Per-run knobs travel in a
         :class:`RunOptions` value; the loose ``entry=`` keyword remains
         as a deprecated shim.
         """
@@ -529,16 +555,20 @@ class CompiledProgram:
                 self._profile_inputs if self._profile_inputs is not None else inputs
             )
         entry = entry or (self.config.entry if self.reuse else "main")
-        machine = Machine(self.opt, backend=self.backend)
-        machine.set_inputs(inputs)
         tables = {}
         if self.reuse:
             tables = self._tables_for_run()
-            for seg_id, table in tables.items():
-                machine.install_table(seg_id, table)
             program = self._program_for(self.opt)
         else:
             program = self._programs[self.opt]
+        # an observed run compiles afresh: its profiler and source map
+        # exist for this run only and are bound in at compile time
+        warm = None if self.profiled else self._take_executable()
+        if warm is None:
+            machine, compiled = Machine(self.opt, backend=self.backend), None
+        else:
+            machine, compiled = warm
+        machine.rearm(inputs, tables)
         profiler = None
         source_map = None
         if self.profiled:
@@ -574,13 +604,25 @@ class CompiledProgram:
                 reuse=self.reuse,
                 governed=self.governed,
             ) as span:
-                value = compile_program(program, machine).run(entry)
+                if compiled is None:
+                    compiled = compile_program(program, machine)
+                try:
+                    value = compiled.run(entry)
+                except BaseException:
+                    # the executable is dropped, and the shared tables
+                    # must not keep this thread's half-open probes
+                    for table in tables.values():
+                        table.abandon()
+                    raise
                 metrics = machine.metrics()
                 if span is not None:
                     self._annotate_run_span(span, metrics, tables)
         machine.publish_metrics()
         if self.governed:
             self._record_governor_verdicts(metrics)
+        if not self.profiled:
+            with self._lock:
+                self._idle.append((machine, compiled))
         return RunResult(
             value=value,
             metrics=metrics,
@@ -711,13 +753,13 @@ class Session:
 
     Lifecycle: usable as a context manager.  :meth:`close` is
     idempotent — it stops the metrics endpoint (if one was started) and
-    drops every memoized program and its tables; a closed session
-    rejects further compiles and runs, so pools can recycle sessions
-    without leaking the exposition thread.  :meth:`evict` releases one
-    program; :meth:`run_program` runs a session-compiled program while
-    keeping the session's latency/throughput metrics flowing — the
-    entry points the multi-tenant service (:mod:`repro.service`) pools
-    sessions through.
+    drops every memoized program with its tables and warm executables;
+    a closed session rejects further compiles and runs, so pools can
+    recycle sessions without leaking the exposition thread.
+    :meth:`evict` releases one program; :meth:`run_program` runs a
+    session-compiled program while keeping the session's
+    latency/throughput metrics flowing — the entry points the
+    multi-tenant service (:mod:`repro.service`) pools sessions through.
     """
 
     def __init__(
@@ -834,12 +876,16 @@ class Session:
         return program
 
     def evict(self, source: str, options: Optional[CompileOptions] = None) -> bool:
-        """Drop the memoized program for ``source`` (and its warmed
-        tables); returns whether one was held.  The service's program
-        caches call this when recycling tenant capacity."""
+        """Drop the memoized program for ``source`` (its warmed tables and
+        warm executables); returns whether one was held.  The service's
+        program caches call this when recycling tenant capacity."""
         options = options if options is not None else self.options
         with self._lock:
-            return self._programs.pop(self._memo_key(source, options), None) is not None
+            program = self._programs.pop(self._memo_key(source, options), None)
+        if program is None:
+            return False
+        program._drop_executables()
+        return True
 
     def run_program(
         self,
@@ -897,9 +943,9 @@ class Session:
         return self._server
 
     def close(self) -> None:
-        """Stop the metrics endpoint and drop every memoized program.
-        Idempotent: closing twice (or closing a session that never
-        served metrics) is a no-op."""
+        """Stop the metrics endpoint and drop every memoized program, with
+        its warm executables.  Idempotent: closing twice (or closing a
+        session that never served metrics) is a no-op."""
         if self._closed:
             return
         self._closed = True
@@ -907,7 +953,10 @@ class Session:
             self._server.close()
             self._server = None
         with self._lock:
+            programs = list(self._programs.values())
             self._programs.clear()
+        for program in programs:
+            program._drop_executables()
 
     def __enter__(self) -> "Session":
         return self

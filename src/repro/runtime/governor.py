@@ -66,6 +66,7 @@ from .hashtable import (
     TableStats,
     pow2_ceil,
 )
+from .values import deep_copy_value
 
 __all__ = [
     "GovernorPolicy",
@@ -370,6 +371,16 @@ def _summary_wants_grow(summary: dict, policy: GovernorPolicy) -> bool:
     return summary["evict_ratio"] >= policy.resize_evict_ratio
 
 
+def _should_bypass(governor: SegmentGovernor, lock) -> bool:
+    """The guard's bypass check on a shared table.  Only a disabled
+    governor changes state here, so the common case reads one attribute
+    without taking the table lock."""
+    if governor.state is not DISABLED:
+        return False
+    with lock:
+        return governor.should_bypass()
+
+
 class GovernedReuseTable(ReuseTable):
     """A :class:`ReuseTable` managed by a :class:`SegmentGovernor`.
 
@@ -404,30 +415,24 @@ class GovernedReuseTable(ReuseTable):
 
     @property
     def bypassed(self) -> bool:
-        return self.governor.should_bypass()
+        return _should_bypass(self.governor, self._lock)
 
-    def probe(self, key: tuple) -> bool:
-        hit = super().probe(key)
+    def _observe(self, hit: bool) -> None:
         summary = self.governor.observe(hit)
         if summary is not None and _summary_wants_grow(summary, self.governor.policy):
             self._request_growth()
-        return hit
 
     def commit(self, outputs: tuple) -> None:
-        pending = self._pending[-1]
-        evicted = False
-        if pending is not _BYPASSED:
-            _, index = pending
-            stored = self._keys[index]
-            evicted = stored is not None and stored != pending[0]
-        super().commit(outputs)
-        if evicted:
-            self.governor.note_eviction()
-        self._apply_resize_if_idle()
+        record = tuple(deep_copy_value(v) for v in outputs)
+        with self._lock:
+            if self._commit_locked(record):
+                self.governor.note_eviction()
+            self._apply_resize_if_idle()
 
     def finish(self) -> None:
-        super().finish()
-        self._apply_resize_if_idle()
+        with self._lock:
+            self._pending.stack.pop()
+            self._apply_resize_if_idle()
 
     # -- growth / flush -----------------------------------------------------
 
@@ -438,9 +443,9 @@ class GovernedReuseTable(ReuseTable):
             self._flush_requested = True
 
     def _apply_resize_if_idle(self) -> None:
-        # Rehash/flush only with no in-flight probes: pending entries hold
-        # indexes whose records a hit path may still read.
-        if self._pending:
+        # Rehash/flush only with no probe in flight on any thread: a
+        # pending entry holds an index its commit will still write.
+        if any(self._stacks):
             return
         if self._resize_target is not None:
             old_capacity, target = self.capacity, self._resize_target
@@ -515,41 +520,28 @@ class GovernedMergedReuseTable(MergedReuseTable):
     def view(self, segment_id: str) -> "GovernedTableView":
         return GovernedTableView(self, self._member_index[segment_id])
 
-    # -- bypass plumbing (sentinel on the shared pending stack) -------------
-
-    def push_bypass(self) -> None:
-        self._pending.append(_BYPASSED)
-
-    def pending_bypassed(self) -> bool:
-        return bool(self._pending) and self._pending[-1] is _BYPASSED
-
     def _commit(self, outputs: tuple) -> None:
-        pending = self._pending[-1]
-        if pending is _BYPASSED:
-            self._pending.pop()
+        record = tuple(deep_copy_value(v) for v in outputs)
+        with self._lock:
+            pending = self._pending.stack[-1]
+            if pending is _BYPASSED:
+                self._pending.stack.pop()
+            elif self._commit_locked(record):
+                self.governors[self.members[pending[2]]].note_eviction()
             self._apply_resize_if_idle()
-            return
-        key, index, member = pending
-        stored = self._keys[index]
-        evicted = stored is not None and stored != key
-        super()._commit(outputs)
-        if evicted:
-            self.governors[self.members[member]].note_eviction()
-        self._apply_resize_if_idle()
 
     def _finish(self) -> None:
-        super()._finish()
-        self._apply_resize_if_idle()
+        with self._lock:
+            self._pending.stack.pop()
+            self._apply_resize_if_idle()
 
     # -- governed probe path -------------------------------------------------
 
-    def _governed_probe(self, member: int, key: tuple) -> bool:
-        hit = self._probe(member, key)
+    def _observe(self, member: int, hit: bool) -> None:
         governor = self.governors[self.members[member]]
         summary = governor.observe(hit)
         if summary is not None and _summary_wants_grow(summary, self.policy):
             self._request_growth(governor)
-        return hit
 
     def _request_growth(self, governor: SegmentGovernor) -> None:
         if self.capacity < self.max_capacity:
@@ -558,7 +550,7 @@ class GovernedMergedReuseTable(MergedReuseTable):
             self._flush_requestor = governor
 
     def _apply_resize_if_idle(self) -> None:
-        if self._pending:
+        if any(self._stacks):
             return
         if self._resize_target is not None:
             old_capacity, target = self.capacity, self._resize_target
@@ -609,16 +601,13 @@ class GovernedTableView(MergedTableView):
 
     @property
     def bypassed(self) -> bool:
-        return self.governor.should_bypass()
+        return _should_bypass(self.governor, self.table._lock)
 
     def push_bypass(self) -> None:
         self.table.push_bypass()
 
     def pending_bypassed(self) -> bool:
         return self.table.pending_bypassed()
-
-    def probe(self, key: tuple) -> bool:
-        return self.table._governed_probe(self.member, key)
 
     @property
     def stats(self) -> TableStats:

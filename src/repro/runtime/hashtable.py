@@ -15,6 +15,12 @@ Two table kinds are provided:
 hardware proposals; it exists to regenerate Table 5 (hit ratios with 1,
 4, 16, 64-entry buffers under LRU replacement).
 
+Concurrent runs may share one table (a session's warmed tables serve
+every worker thread).  Each thread keeps its own stack of in-flight
+probes, a hit carries the output record it saw at probe time, and the
+table's entries and statistics change under one lock per table, so one
+thread's commit never lands on another thread's probe.
+
 All tables keep statistics (:class:`TableStats`) that the experiment
 harness and the observability layer read: probe/hit/miss/collision
 counters with the invariant ``misses == collisions + empty_misses``,
@@ -27,6 +33,7 @@ are charged by the interpreter intrinsics, not here.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,6 +46,44 @@ _WORD_BYTES = 4
 
 # Sentinel on the pending stack for probes skipped by adaptive bypass.
 _BYPASSED = object()
+
+
+class _Pending(threading.local):
+    """One thread's LIFO of in-flight probes on one table.  A stack, not
+    a slot: recursive segment execution may probe again before the
+    enclosing execution commits.  Each thread's stack registers itself in
+    ``stacks`` so the table can tell whether any probe is open."""
+
+    def __init__(self, stacks: list) -> None:
+        self.stack: list = []
+        stacks.append(self.stack)
+
+
+class _SharedProbes:
+    """What lets concurrent runs share one table: a lock over entries and
+    statistics, and one pending-probe stack per thread."""
+
+    def _init_probes(self) -> None:
+        self._lock = threading.Lock()
+        # every thread's stack: a governed table rehashes only when all are
+        # empty, since a pending entry holds an index its commit will write
+        self._stacks: list[list] = []
+        self._pending = _Pending(self._stacks)
+
+    def push_bypass(self) -> None:
+        """Mark the next commit as a no-op (adaptive deactivation skipped
+        the probe, so there is no pending key to record)."""
+        self._pending.stack.append(_BYPASSED)
+
+    def pending_bypassed(self) -> bool:
+        """Is this thread's innermost in-flight probe a bypassed one?"""
+        stack = self._pending.stack
+        return bool(stack) and stack[-1] is _BYPASSED
+
+    def abandon(self) -> None:
+        """Drop this thread's in-flight probes: a run raised between a
+        probe and its commit/finish."""
+        self._pending.stack.clear()
 
 
 def pow2_ceil(n: int) -> int:
@@ -126,7 +171,7 @@ class TableStats:
         return [(probes, hits / probes) for probes, hits in self.samples]
 
 
-class ReuseTable:
+class ReuseTable(_SharedProbes):
     """Direct-addressed reuse table for a single code segment.
 
     Args:
@@ -157,10 +202,8 @@ class ReuseTable:
         self._outputs: list[Optional[tuple]] = [None] * self.capacity
         self.stats = TableStats(sample_budget=sample_budget)
         self._occupied = 0
-        # LIFO of (key, index) for in-flight probes; supports recursive
-        # segment execution (a probe may occur before the enclosing
-        # execution commits).
-        self._pending: list[tuple[tuple, int]] = []
+        # pending entries are (key, index, outputs seen on a hit or None)
+        self._init_probes()
 
     # -- the runtime interface (called by interpreter intrinsics) ---------
 
@@ -168,34 +211,29 @@ class ReuseTable:
         """Look up ``key``; returns True on a hit.  Either way the probe is
         left pending until :meth:`commit` (miss path) or :meth:`finish`
         (hit path) is called."""
-        index = hash_key_words(key) & self._mask
-        stored = self._keys[index]
-        self._pending.append((key, index))
-        if stored == key:
-            self.stats.record_probe(True)
-            return True
-        self.stats.record_probe(False, collision=stored is not None)
-        return False
+        hashed = hash_key_words(key)
+        with self._lock:
+            index = hashed & self._mask
+            stored = self._keys[index]
+            hit = stored == key
+            self._pending.stack.append((key, index, self._outputs[index] if hit else None))
+            self.stats.record_probe(hit, collision=not hit and stored is not None)
+            self._observe(hit)
+        return hit
+
+    def _observe(self, hit: bool) -> None:
+        """Hook run under the lock after each probe (the governed table
+        feeds its governor here)."""
 
     def output(self, position: int):
         """Read one output value of the entry hit by the pending probe."""
-        _, index = self._pending[-1]
-        outputs = self._outputs[index]
+        outputs = self._pending.stack[-1][2]
         assert outputs is not None, "output() without a hit"
         return outputs[position]
 
     def finish(self) -> None:
         """Close the pending probe on the hit path."""
-        self._pending.pop()
-
-    def push_bypass(self) -> None:
-        """Mark the next commit as a no-op (adaptive deactivation skipped
-        the probe, so there is no pending key to record)."""
-        self._pending.append(_BYPASSED)
-
-    def pending_bypassed(self) -> bool:
-        """Is the innermost in-flight probe a bypassed one?"""
-        return bool(self._pending) and self._pending[-1] is _BYPASSED
+        self._pending.stack.pop()
 
     def commit(self, outputs: tuple) -> None:
         """Record outputs for the pending probe's key (miss path).
@@ -203,18 +241,27 @@ class ReuseTable:
         On a collision the previously recorded entry is replaced, exactly
         as in section 3.1 of the paper.
         """
-        pending = self._pending.pop()
+        record = tuple(deep_copy_value(v) for v in outputs)
+        with self._lock:
+            self._commit_locked(record)
+
+    def _commit_locked(self, record: tuple) -> bool:
+        """Store ``record`` for this thread's pending probe; returns
+        whether it evicted a different key."""
+        pending = self._pending.stack.pop()
         if pending is _BYPASSED:
-            return
-        key, index = pending
+            return False
+        key, index, _ = pending
         stored = self._keys[index]
+        evicted = stored is not None and stored != key
         if stored is None:
             self._occupied += 1
             self.stats.note_occupancy(self._occupied)
-        elif stored != key:
+        elif evicted:
             self.stats.evictions += 1
         self._keys[index] = key
-        self._outputs[index] = tuple(deep_copy_value(v) for v in outputs)
+        self._outputs[index] = record
+        return evicted
 
     # -- inspection ---------------------------------------------------------
 
@@ -231,11 +278,12 @@ class ReuseTable:
         return self._occupied
 
     def clear(self) -> None:
-        self._keys = [None] * self.capacity
-        self._outputs = [None] * self.capacity
-        self._pending.clear()
-        self._occupied = 0
-        self.stats = TableStats(sample_budget=self.stats.sample_budget)
+        self.abandon()
+        with self._lock:
+            self._keys = [None] * self.capacity
+            self._outputs = [None] * self.capacity
+            self._occupied = 0
+            self.stats = TableStats(sample_budget=self.stats.sample_budget)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -244,7 +292,7 @@ class ReuseTable:
         )
 
 
-class MergedReuseTable:
+class MergedReuseTable(_SharedProbes):
     """A reuse table shared by segments with identical input variables.
 
     Entries store one key, a validity bit vector (bit *i* set when member
@@ -275,7 +323,8 @@ class MergedReuseTable:
             seg: TableStats(sample_budget=sample_budget) for seg in self.members
         }
         self._occupied = 0
-        self._pending: list[tuple[tuple, int, int]] = []  # (key, index, member)
+        # pending entries are (key, index, member, outputs seen on a hit)
+        self._init_probes()
 
     def view(self, segment_id: str) -> "MergedTableView":
         """The per-segment facade the interpreter binds to a segment id."""
@@ -284,31 +333,46 @@ class MergedReuseTable:
     # -- internals used by MergedTableView ----------------------------------
 
     def _probe(self, member: int, key: tuple) -> bool:
-        index = hash_key_words(key) & self._mask
-        stats = self.stats_per_member[self.members[member]]
-        self._pending.append((key, index, member))
-        stored = self._keys[index]
-        if stored == key and self._bits[index] & (1 << member):
-            stats.record_probe(True)
-            return True
-        # a matching key whose validity bit is unset is an *empty* miss —
-        # the member's output slot holds nothing usable for this key
-        stats.record_probe(False, collision=stored is not None and stored != key)
-        return False
+        hashed = hash_key_words(key)
+        with self._lock:
+            index = hashed & self._mask
+            stored = self._keys[index]
+            hit = stored == key and bool(self._bits[index] & (1 << member))
+            self._pending.stack.append(
+                (key, index, member, self._outputs[index][member] if hit else None)
+            )
+            # a matching key whose validity bit is unset is an *empty* miss —
+            # the member's output slot holds nothing usable for this key
+            self.stats_per_member[self.members[member]].record_probe(
+                hit, collision=not hit and stored is not None and stored != key
+            )
+            self._observe(member, hit)
+        return hit
+
+    def _observe(self, member: int, hit: bool) -> None:
+        """Hook run under the lock after each probe (the governed table
+        feeds the member's governor here)."""
 
     def _output(self, position: int):
-        _, index, member = self._pending[-1]
-        outputs = self._outputs[index][member]
-        assert outputs is not None
+        outputs = self._pending.stack[-1][3]
+        assert outputs is not None, "output() without a hit"
         return outputs[position]
 
     def _finish(self) -> None:
-        self._pending.pop()
+        self._pending.stack.pop()
 
     def _commit(self, outputs: tuple) -> None:
-        key, index, member = self._pending.pop()
+        record = tuple(deep_copy_value(v) for v in outputs)
+        with self._lock:
+            self._commit_locked(record)
+
+    def _commit_locked(self, record: tuple) -> bool:
+        """Store ``record`` for this thread's pending probe; returns
+        whether it evicted a different key."""
+        key, index, member, _ = self._pending.stack.pop()
         stats = self.stats_per_member[self.members[member]]
         stored = self._keys[index]
+        evicted = stored is not None and stored != key
         if stored != key:
             if stored is None:
                 self._occupied += 1
@@ -323,7 +387,8 @@ class MergedReuseTable:
             self._outputs[index] = [None] * len(self.members)
         stats.note_occupancy(self._occupied)
         self._bits[index] |= 1 << member
-        self._outputs[index][member] = tuple(deep_copy_value(v) for v in outputs)
+        self._outputs[index][member] = record
+        return evicted
 
     # -- inspection -----------------------------------------------------------
 
@@ -379,6 +444,9 @@ class MergedTableView:
 
     def commit(self, outputs: tuple) -> None:
         self.table._commit(outputs)
+
+    def abandon(self) -> None:
+        self.table.abandon()
 
     @property
     def stats(self) -> TableStats:

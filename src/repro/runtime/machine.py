@@ -17,8 +17,11 @@ A :class:`Machine` bundles everything one execution needs:
   attribution hooks only when one is present, so an unprofiled run
   executes exactly the closures it always did.
 
-Machines are cheap; experiments create one per (program variant, cost
-table, input file) combination.
+A machine outlives one run.  The facade keeps each compiled program's
+machines warm, next to the code compiled against them, and re-arms one
+per run with :meth:`Machine.rearm` (zeroed counters, the run's inputs,
+the run's tables); the compiled program's own ``run`` resets globals
+and I/O.  Experiments that measure one run simply build a fresh machine.
 """
 
 from __future__ import annotations
@@ -166,6 +169,15 @@ class Machine:
         if table is None:
             raise InterpError(f"no reuse table installed for segment {segment_id}")
         return table
+
+    def rearm(self, inputs: Sequence, tables: dict) -> None:
+        """Prepare this machine for its next run: zero the counters, install
+        ``inputs``, and replace the reuse tables with ``tables`` (segment id
+        -> table).  Compiled code looks tables up through :meth:`table_for`
+        at run time, so a warm program runs against any table set."""
+        self.reset_counters()
+        self.set_inputs(inputs)
+        self.reuse_tables = dict(tables)
 
     # -- accounting ----------------------------------------------------------------
 
