@@ -49,7 +49,11 @@ from ..obs import get_tracer
 # PipelineResults.
 # "4": TableSpec/PipelineConfig carry the TableStats sample budget and
 # TableStats itself grew the ``sample_budget`` field.
-CODE_VERSION = "4"
+# "5": SegmentProfile pickles its input-set stream (``key_stream``) and
+# derives N, the histogram and the LRU hit ratios from it, instead of a
+# Counter and four LRUBuffers; I/O rejection reasons in the ledger no
+# longer depend on PYTHONHASHSEED.
+CODE_VERSION = "5"
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _DEFAULT_ROOT = ".repro_cache"

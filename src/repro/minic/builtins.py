@@ -68,7 +68,6 @@ _BUILTINS = [
     BuiltinSig("__reuse_end", VOID, 1, compiler_only=True),
     # Value-set profiling stubs (compiler-emitted, zero cost) ---------------
     BuiltinSig("__profile", VOID, 1, variadic=True, compiler_only=True, zero_cost=True),
-    BuiltinSig("__freq", VOID, 1, compiler_only=True, zero_cost=True),
     BuiltinSig("__seg_enter", VOID, 1, compiler_only=True, zero_cost=True),
     BuiltinSig("__seg_exit", VOID, 1, compiler_only=True, zero_cost=True),
 ]

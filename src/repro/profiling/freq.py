@@ -2,8 +2,9 @@
 
 The paper's first step confines value-set profiling "to those frequently
 executed routines and loops", using standard frequency tools.  Here the
-same information comes from a count-only :class:`ValueSetProfiler` run;
-this module adds the selection helper that applies the frequency cut.
+same information comes from the execution counts of the pipeline's one
+:class:`ValueSetProfiler` run; this module adds the selection helper that
+applies the frequency cut to them.
 """
 
 from __future__ import annotations

@@ -7,21 +7,26 @@ tuples of input values observed at each instrumented segment entry.
 
 For each segment the profiler tracks:
 
-* ``N`` — executions, ``N_ds`` — distinct input sets; the reuse rate is
-  ``R = 1 - N_ds / N``;
-* a full histogram of input sets (figures 5, 6, 11, 12, 13 of the paper);
-* hit ratios of small LRU buffers (1/4/16/64 entries) fed online with the
-  same key stream — the hardware-buffer comparison of Table 5;
+* the stream of input sets in execution order, one interned id per
+  execution.  Everything else about the values derives from it: ``N`` —
+  executions, ``N_ds`` — distinct input sets (the reuse rate is
+  ``R = 1 - N_ds / N``), the full histogram of input sets (figures 5, 6,
+  11, 12, 13 of the paper), and the hit ratios of small LRU buffers
+  (1/4/16/64 entries) — the hardware-buffer comparison of Table 5 —
+  replayed on first request instead of simulated during the run;
 * inclusive cycles spent inside the segment (between ``__seg_enter`` and
   ``__seg_exit``), giving the *measured* computation granularity C.
 
-Two modes: ``"freq"`` only counts executions (the cheap first profiling
-pass used to filter infrequent segments); ``"value"`` records everything,
-optionally restricted to an allow-list of surviving segment ids.
+The pipeline runs the profiler once over every candidate segment and
+applies the frequency filter (:mod:`repro.profiling.freq`) to that run's
+execution counts.  A segment's profile does not depend on which other
+segments are profiled, so an optional allow-list of segment ids only
+narrows what is recorded.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,17 +40,28 @@ LRU_SIZES = (1, 4, 16, 64)
 @dataclass
 class SegmentProfile:
     seg_id: int
-    executions: int = 0
-    value_counts: Counter = field(default_factory=Counter)
-    lru: dict[int, LRUBuffer] = field(
-        default_factory=lambda: {size: LRUBuffer(size) for size in LRU_SIZES}
-    )
+    # input sets in execution order, as ids interned through _key_ids
+    key_stream: array = field(default_factory=lambda: array("I"))
     inclusive_cycles: int = 0
+    # distinct input set -> id, in first-seen order
+    _key_ids: dict[tuple, int] = field(default_factory=dict, repr=False)
+    _lru_ratios: dict[int, float] = field(default_factory=dict, repr=False)
     _enter_stack: list[int] = field(default_factory=list)
 
     @property
+    def executions(self) -> int:
+        return len(self.key_stream)
+
+    @property
     def distinct_inputs(self) -> int:
-        return len(self.value_counts)
+        return len(self._key_ids)
+
+    @property
+    def value_counts(self) -> Counter:
+        """Executions per distinct input set, in first-seen order (counted
+        from the stream on every call)."""
+        per_id = Counter(self.key_stream)
+        return Counter({key: per_id[key_id] for key, key_id in self._key_ids.items()})
 
     @property
     def reuse_rate(self) -> float:
@@ -62,14 +78,22 @@ class SegmentProfile:
         return self.inclusive_cycles / self.executions
 
     def lru_hit_ratio(self, size: int) -> float:
-        return self.lru[size].hit_ratio
+        """Hit ratio of a ``size``-entry LRU buffer fed this segment's
+        input sets in execution order (replayed once, then cached)."""
+        ratio = self._lru_ratios.get(size)
+        if ratio is None:
+            buffer = LRUBuffer(size)
+            for key_id in self.key_stream:
+                buffer.access(key_id)
+            ratio = self._lru_ratios[size] = buffer.hit_ratio
+        return ratio
 
     def histogram(self) -> list[tuple[tuple, int]]:
         """(input set, count) pairs, most frequent first."""
         return self.value_counts.most_common()
 
     def key_width(self) -> int:
-        for key in self.value_counts:
+        for key in self._key_ids:
             return len(key)
         return 0
 
@@ -78,18 +102,10 @@ class ValueSetProfiler:
     """The object installed as ``machine.profiler`` during profiling runs."""
 
     def __init__(
-        self,
-        machine: Machine,
-        mode: str = "value",
-        allowed: Optional[set[int]] = None,
-        record_lru: bool = True,
+        self, machine: Machine, allowed: Optional[set[int]] = None
     ) -> None:
-        if mode not in ("freq", "value"):
-            raise ValueError("mode must be 'freq' or 'value'")
         self.machine = machine
-        self.mode = mode
         self.allowed = allowed
-        self.record_lru = record_lru
         self.profiles: dict[int, SegmentProfile] = {}
 
     def _profile(self, seg_id: int) -> SegmentProfile:
@@ -109,17 +125,8 @@ class ValueSetProfiler:
         if not self._enabled(seg_id):
             return
         profile = self._profile(seg_id)
-        profile.executions += 1
-        if self.mode == "value":
-            profile.value_counts[key] += 1
-            if self.record_lru:
-                for buffer in profile.lru.values():
-                    buffer.access(key)
-
-    def count_entry(self, seg_id: int) -> None:
-        """__freq: count-only entry event."""
-        if self._enabled(seg_id):
-            self._profile(seg_id).executions += 1
+        key_ids = profile._key_ids
+        profile.key_stream.append(key_ids.setdefault(key, len(key_ids)))
 
     def segment_enter(self, seg_id: int) -> None:
         if not self._enabled(seg_id):

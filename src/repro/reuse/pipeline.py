@@ -10,10 +10,12 @@ Steps, in order:
 5. *specialization*: function segments that fail the pre-filter but have
    call-site-invariant arguments get specialized clones, and the analysis
    round restarts once;
-6. execution-frequency profiling (count-only run) filters infrequent
-   segments;
-7. value-set profiling of the survivors measures N, N_ds, the reuse rate
-   R, and the per-execution granularity C;
+6. one value-set profiling run of every candidate measures N, N_ds, the
+   reuse rate R, and the per-execution granularity C;
+7. the frequency filter drops segments that run executed fewer than
+   ``min_executions`` times (a profile does not depend on which other
+   segments are profiled, so the survivors' numbers equal a run
+   restricted to them);
 8. the cost-benefit test ``R*C - O > 0`` (formula 3) keeps profitable
    segments;
 9. the nesting graph picks at most one segment per nest (formula 4);
@@ -36,6 +38,7 @@ from ..minic.parser import parse_program
 from ..minic.sema import analyze
 from ..ir.cleanup import cleanup
 from ..obs import DecisionLedger, get_tracer
+from ..profiling.freq import frequent_segments
 from ..profiling.valueset import SegmentProfile, ValueSetProfiler
 from ..runtime.compiler import compile_program
 from ..runtime.costs import TABLES as _COST_TABLES
@@ -270,23 +273,14 @@ class ReusePipeline:
     def _fresh_program(self) -> ast.Program:
         return analyze(parse_program(self.source))
 
-    def _profiling_run(
-        self,
-        program: ast.Program,
-        inputs: Sequence,
-        mode: str,
-        allowed: Optional[set[int]],
-    ) -> ValueSetProfiler:
+    def _profiling_run(self, program: ast.Program, inputs: Sequence) -> ValueSetProfiler:
         machine = Machine(self.config.opt_level)
         machine.set_inputs(list(inputs))
-        profiler = ValueSetProfiler(machine, mode=mode, allowed=allowed)
+        profiler = ValueSetProfiler(machine)
         machine.profiler = profiler
         compiled = compile_program(program, machine)
         with get_tracer().span(
-            f"profile.{mode}",
-            category="profiling",
-            machine=machine,
-            allowed=len(allowed) if allowed is not None else -1,
+            "profile.value", category="profiling", machine=machine
         ) as span:
             compiled.run(self.config.entry)
             if span is not None:
@@ -393,32 +387,29 @@ class ReusePipeline:
             if span is not None:
                 span.args["candidates"] = len(candidates)
 
-        # Frequency profiling -----------------------------------------------------
+        # Value-set profiling (one run over every candidate) ----------------------
         instrument_program(candidates, program)
-        freq = self._profiling_run(program, inputs, mode="freq", allowed=None)
-        frequent_ids = {
-            seg_id
-            for seg_id, profile in freq.profiles.items()
-            if profile.executions >= config.min_executions
-        }
-        for segment in candidates:
-            freq_profile = freq.profiles.get(segment.seg_id)
-            executions = freq_profile.executions if freq_profile is not None else 0
-            ledger.record(
-                segment.seg_id,
-                "frequency",
-                segment.seg_id in frequent_ids,
-                margin=float(executions - config.min_executions),
-                executions=executions,
-                required=config.min_executions,
-            )
-        profiled = [s for s in candidates if s.seg_id in frequent_ids]
-
-        # Value-set profiling -------------------------------------------------------
-        profiler = self._profiling_run(
-            program, inputs, mode="value", allowed=frequent_ids
-        )
+        profiler = self._profiling_run(program, inputs)
         strip_instrumentation(program)
+
+        # Frequency filter on that run's execution counts -------------------------
+        with tracer.span("profile.freq", category="profiling") as span:
+            frequent_ids = frequent_segments(profiler, config.min_executions)
+            counts = profiler.execution_counts()
+            for segment in candidates:
+                executions = counts.get(segment.seg_id, 0)
+                ledger.record(
+                    segment.seg_id,
+                    "frequency",
+                    segment.seg_id in frequent_ids,
+                    margin=float(executions - config.min_executions),
+                    executions=executions,
+                    required=config.min_executions,
+                )
+            profiled = [s for s in candidates if s.seg_id in frequent_ids]
+            if span is not None:
+                span.args["frequent"] = len(profiled)
+
         profiles: dict[int, SegmentProfile] = {}
         for segment in profiled:
             profile = profiler.profile(segment.seg_id)

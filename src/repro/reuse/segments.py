@@ -162,12 +162,14 @@ def _region_escapes(region_root: ast.Block) -> bool:
     return any(visit(s, 0) for s in region_root.stmts)
 
 
-def _calls_in(region_root: ast.Node) -> set[str]:
-    names: set[str] = set()
+def _calls_in(region_root: ast.Node) -> list[str]:
+    """Names called in the region, deduplicated, in ``ast.walk`` order (so
+    a rejection reason never depends on set iteration order)."""
+    names: dict[str, None] = {}
     for node in ast.walk(region_root):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            names.add(node.func.name)
-    return names
+            names[node.func.name] = None
+    return list(names)
 
 
 def _must_defined_at_exit(cfg: CFG, region: set[int], analysis: ProgramAnalysis) -> frozenset:

@@ -30,6 +30,7 @@ points, with small divergences where the op mix shifts toward memory.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 CLOCK_HZ = 206_000_000  # StrongARM SA-1110
@@ -118,8 +119,7 @@ class CostTable:
     cycles: tuple
 
     def cycles_for(self, counts) -> int:
-        table = self.cycles
-        return sum(c * k for c, k in zip(counts, table))
+        return sum(map(operator.mul, counts, self.cycles))
 
     def seconds_for(self, counts) -> float:
         return self.cycles_for(counts) / CLOCK_HZ

@@ -297,17 +297,6 @@ def compile_builtin(name: str, args: list[ast.Expr], fc):
 
         return run_profile
 
-    if name == "__freq":
-        seg = _segment_id(args, name)
-
-        def run_freq(fr, seg=seg, machine=machine):
-            profiler = machine.profiler
-            if profiler is not None:
-                profiler.count_entry(seg)
-            return 0
-
-        return run_freq
-
     if name == "__seg_enter":
         seg = _segment_id(args, name)
 

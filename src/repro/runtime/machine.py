@@ -10,7 +10,8 @@ A :class:`Machine` bundles everything one execution needs:
   what the original did);
 * installed reuse tables (segment id -> table), the runtime side of the
   computation-reuse transformation;
-* an optional profiler receiving ``__profile`` / ``__freq`` events;
+* an optional profiler receiving ``__profile`` / ``__seg_enter`` /
+  ``__seg_exit`` events;
 * an optional cycle-attribution profiler
   (:class:`~repro.obs.profiler.CycleProfiler` on ``cycle_profiler``).
   It must be installed *before* ``compile_program``: the compiler emits

@@ -141,13 +141,6 @@ def k_profile(machine, seg, vals, kinds):
     return 0
 
 
-def k_freq(machine, seg):
-    profiler = machine.profiler
-    if profiler is not None:
-        profiler.count_entry(seg)
-    return 0
-
-
 def k_seg_enter(machine, seg):
     profiler = machine.profiler
     if profiler is not None:
@@ -410,8 +403,6 @@ def install_dispatch(vmfn: VMFunction, prog: "VMProgram") -> None:
             elif o == op.PROFILE:
                 if machine.profiler is not None:
                     k_profile(machine, ins[1], _fetch(machine, R, ins[3]), ins[2])
-            elif o == op.FREQ:
-                k_freq(machine, ins[1])
             elif o == op.SEGE:
                 k_seg_enter(machine, ins[1])
             elif o == op.SEGX:
@@ -487,7 +478,7 @@ _AGG_EXCLUDED = frozenset(
     (
         op.CALL, op.CALLI, op.RETV, op.RET0,
         op.PROBE, op.ROUT, op.ROUT_ARR, op.COMMIT, op.REND,
-        op.PROFILE, op.FREQ, op.SEGE, op.SEGX,
+        op.PROFILE, op.SEGE, op.SEGX,
         op.PROF_ENTER, op.PROF_EXIT, op.PROF_PB, op.PROF_PE,
         op.PROF_CB, op.PROF_SX, op.PROF_LINE, op.METER_FUNC, op.METER_PROBE,
         op.INPUT_I, op.INPUT_F, op.INPUT_AV, op.OUTPUT, op.PRINT,
@@ -1228,8 +1219,6 @@ class _Translator:
             self.flush()
             self.w("if _m.profiler is not None:")
             self.w(f"    _k_profile(_m, {ins[1]}, {self._vals(ins[3])}, {ins[2]!r})")
-        elif o == op.FREQ:
-            self.stmt(f"_k_freq(_m, {ins[1]})")
         elif o == op.SEGE:
             self.stmt(f"_k_seg_enter(_m, {ins[1]})")
         elif o == op.SEGX:
@@ -1290,7 +1279,6 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
         "_k_commit": k_commit,
         "_k_out_arr": k_out_arr,
         "_k_profile": k_profile,
-        "_k_freq": k_freq,
         "_k_seg_enter": k_seg_enter,
         "_k_seg_exit": k_seg_exit,
         "_k_probe_end": k_probe_end,

@@ -881,12 +881,10 @@ class _FnCompiler:
             self.emit(op.PROFILE, seg, kinds, srcs)
             return self.newtmp()
 
-        if name in ("__freq", "__seg_enter", "__seg_exit"):
+        if name in ("__seg_enter", "__seg_exit"):
             seg = _segment_id(args, name)
             self.flush()
-            opcode = {
-                "__freq": op.FREQ, "__seg_enter": op.SEGE, "__seg_exit": op.SEGX,
-            }[name]
+            opcode = op.SEGE if name == "__seg_enter" else op.SEGX
             self.emit(opcode, seg)
             return self.newtmp()
 

@@ -121,7 +121,6 @@ REND = _next_op()     # (seg,)
 
 # -- profiling stubs (zero cost, runtime-gated like the closures) ----------
 PROFILE = _next_op()  # (seg, kinds, srcs)
-FREQ = _next_op()     # (seg,)
 SEGE = _next_op()     # (seg,)
 SEGX = _next_op()     # (seg,)
 

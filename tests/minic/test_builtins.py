@@ -9,7 +9,7 @@ def test_core_builtins_present():
         "__cast_int", "__cast_float",
         "__reuse_probe", "__reuse_commit", "__reuse_end",
         "__reuse_out_i", "__reuse_out_f", "__reuse_out_arr",
-        "__profile", "__freq", "__seg_enter", "__seg_exit",
+        "__profile", "__seg_enter", "__seg_exit",
     ):
         assert is_builtin(name), name
 
@@ -21,7 +21,7 @@ def test_compiler_only_flags():
 
 
 def test_zero_cost_flags():
-    for name in ("__profile", "__freq", "__seg_enter", "__seg_exit"):
+    for name in ("__profile", "__seg_enter", "__seg_exit"):
         assert BUILTINS[name].zero_cost, name
     assert not BUILTINS["__reuse_probe"].zero_cost
 

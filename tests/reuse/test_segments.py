@@ -1,6 +1,12 @@
 """Tests for candidate segment identification and feasibility analysis."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.minic import frontend
 from repro.reuse.granularity import GranularityAnalysis
 from repro.reuse.hashing_cost import annotate_costs, hashing_overhead
@@ -213,3 +219,51 @@ class TestCosts:
         segments, _, _ = segments_for(QUAN_SPECIALIZED)
         seg = by_kind(segments, "function")[0]
         assert hashing_overhead(seg, costs.O3) < hashing_overhead(seg, costs.O0)
+
+
+# a loop calling three I/O builtins: set iteration order would pick any of
+# them as "the" reason, depending on PYTHONHASHSEED
+MIXED_IO = """
+int main(void) {
+    int i;
+    int s;
+    s = 0;
+    for (i = 0; i < 64; i++) {
+        s = s + __input_int();
+        __output_float(s * 0.5);
+        __output_int(s);
+    }
+    return s;
+}
+"""
+
+_LEDGER_SCRIPT = """
+import json, sys
+from repro.reuse.pipeline import PipelineConfig, ReusePipeline
+result = ReusePipeline(sys.argv[1], PipelineConfig()).run(list(range(64)))
+print(json.dumps(result.ledger.to_json(), sort_keys=True))
+"""
+
+
+def _ledger_under_hash_seed(seed: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = seed
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _LEDGER_SCRIPT, MIXED_IO],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout)
+
+
+class TestDeterministicReasons:
+    def test_io_reason_is_first_call_in_source_order(self):
+        segments, _, _ = segments_for(MIXED_IO)
+        loop = by_kind(segments, "loop")[0]
+        assert loop.reject_reason == "performs I/O (__input_int)"
+
+    def test_ledger_independent_of_hash_seed(self):
+        # seeds 0 and 3 named different builtins when the calls were a set
+        first = _ledger_under_hash_seed("0")
+        assert first == _ledger_under_hash_seed("3")
+        assert "performs I/O (__input_int)" in json.dumps(first)

@@ -380,7 +380,9 @@ class TestIsolationAndEviction:
 
 class TestRobustness:
     def test_request_timeout_504(self):
-        config = ServiceConfig(request_timeout=0.2)
+        # well under SLOW's run time on either backend (about 0.2 s on the
+        # vm backend of a fast host), so the request always times out
+        config = ServiceConfig(request_timeout=0.05)
         with ServiceThread(config) as thread:
             reply = _request(
                 thread.port, "POST", "/v1/run",
