@@ -1,16 +1,15 @@
-"""Interpreter throughput benchmark: closures (fused/unfused) vs the VM.
+"""Interpreter throughput benchmark: the unfused closure oracle vs the VM.
 
 Measures raw interpreter speed (dynamic mini-C operations per second and
-wall-clock seconds) over seven workloads at O0 and O3, in three
-configurations *in the same run* — the closure backend with block-fused
-cost accounting off and on, and the register-bytecode VM backend
-(``Machine(backend="vm")``) — and writes ``BENCH_interp.json`` at the
-repo root so the perf trajectory is tracked from PR to PR:
+wall-clock seconds) over seven workloads at O0 and O3, in two
+configurations *in the same run* — the closure backend (the unfused
+reference oracle) and the register-bytecode VM (the default engine) —
+and writes ``BENCH_interp.json`` at the repo root so the perf trajectory
+is tracked from PR to PR:
 
-    {"ops_per_sec": <fused>, "suite_seconds": <fused>, "fused": true,
+    {"engine": "vm", "ops_per_sec": <vm>, "suite_seconds": <vm>,
      "unfused_ops_per_sec": ..., "unfused_suite_seconds": ...,
-     "vm_ops_per_sec": ..., "vm_suite_seconds": ...,
-     "speedup": ..., "vm_speedup_vs_fused": ...,
+     "speedup": <unfused seconds / vm seconds>,
      "per_workload": {...},
      "tracer": {"disabled_ns_per_span": ..., "enabled_ns_per_span": ...},
      "event_log": {"disabled_ns_per_site": ..., "enabled_ns_per_emit": ...},
@@ -18,9 +17,9 @@ repo root so the perf trajectory is tracked from PR to PR:
                     "compile_overhead_pct": ..., "run_seconds_off": ...,
                     "run_seconds_on": ..., "run_overhead_pct": ...}}
 
-All three configurations execute the identical dynamic op stream (the
-run asserts it), so the throughput ratios are pure execution-engine
-comparisons.  The ``tracer`` section is the observability overhead
+Both configurations execute the identical dynamic op stream (the run
+asserts it), so the throughput ratio is a pure execution-engine
+comparison.  The ``tracer`` section is the observability overhead
 floor: what one ``tracer.span(...)`` costs with tracing off (the price
 every untraced run pays per instrumentation point) and with tracing on.
 
@@ -55,24 +54,20 @@ BENCH_WORKLOADS = (
     "GNUGO",
 )
 OPT_LEVELS = ("O0", "O3")
-# (column label, Machine kwargs); ops must agree across all three.  The
-# backends are pinned so the comparison survives a REPRO_BACKEND=vm run.
-CONFIGS = (
-    ("unfused", {"fuse": False, "backend": "closures"}),
-    ("fused", {"fuse": True, "backend": "closures"}),
-    ("vm", {"fuse": True, "backend": "vm"}),
-)
+# (column label, backend); ops must agree across both.  The backends are
+# pinned so the comparison survives any REPRO_BACKEND setting.
+CONFIGS = (("unfused", "closures"), ("vm", "vm"))
 TRACER_SPANS = 50_000
 LOG_EMITS = 50_000
 SRCMAP_WORKLOADS = ("UNEPIC", "G721_encode")
 SRCMAP_REPEATS = 3
 
 
-def _measure_one(workload, opt_level: str, **machine_kwargs) -> tuple[int, float]:
+def _measure_one(workload, opt_level: str, backend: str) -> tuple[int, float]:
     """One measured execution; returns (dynamic ops, wall seconds)."""
     program = analyze(parse_program(workload.source))
     optimize(program, opt_level)
-    machine = Machine(opt_level, **machine_kwargs)
+    machine = Machine(opt_level, backend=backend)
     machine.set_inputs(workload.default_inputs())
     compiled = compile_program(program, machine)
     start = time.perf_counter()
@@ -208,8 +203,8 @@ def run_benchmark() -> dict:
         entry: dict[str, float] = {}
         for opt_level in OPT_LEVELS:
             ops_seen: dict[str, int] = {}
-            for label, kwargs in CONFIGS:
-                ops, seconds = _measure_one(workload, opt_level, **kwargs)
+            for label, backend in CONFIGS:
+                ops, seconds = _measure_one(workload, opt_level, backend)
                 totals[label][0] += ops
                 totals[label][1] += seconds
                 entry[f"{opt_level}_{label}_ops_per_sec"] = round(ops / seconds)
@@ -219,18 +214,14 @@ def run_benchmark() -> dict:
             )
         per_workload[name] = entry
     unfused_ops, unfused_seconds = totals["unfused"]
-    fused_ops, fused_seconds = totals["fused"]
     vm_ops, vm_seconds = totals["vm"]
     return {
-        "fused": True,
-        "ops_per_sec": round(fused_ops / fused_seconds),
-        "suite_seconds": round(fused_seconds, 3),
+        "engine": "vm",
+        "ops_per_sec": round(vm_ops / vm_seconds),
+        "suite_seconds": round(vm_seconds, 3),
         "unfused_ops_per_sec": round(unfused_ops / unfused_seconds),
         "unfused_suite_seconds": round(unfused_seconds, 3),
-        "vm_ops_per_sec": round(vm_ops / vm_seconds),
-        "vm_suite_seconds": round(vm_seconds, 3),
-        "speedup": round(unfused_seconds / fused_seconds, 2),
-        "vm_speedup_vs_fused": round(fused_seconds / vm_seconds, 2),
+        "speedup": round(unfused_seconds / vm_seconds, 2),
         "workloads": list(BENCH_WORKLOADS),
         "opt_levels": list(OPT_LEVELS),
         "per_workload": per_workload,
@@ -248,7 +239,6 @@ def test_bench_interp():
     result = run_benchmark()
     write_result(result)
     assert result["ops_per_sec"] >= 2 * result["unfused_ops_per_sec"], result
-    assert result["vm_ops_per_sec"] >= 2 * result["ops_per_sec"], result
 
 
 def test_bench_srcmap_overhead():

@@ -59,7 +59,7 @@ from .errors import (
 )
 from .minic import format_program, frontend, parse_program
 from .reuse import PipelineConfig, PipelineResult, ReusePipeline
-from .runtime import Machine, Metrics, ReuseTable, compile_program, run_source
+from .runtime import Machine, Metrics, ReuseTable, compile_program
 from .runtime.governor import GovernorPolicy
 from .workloads import ALL_WORKLOADS, PRIMARY_WORKLOADS, Workload, get_workload
 
@@ -93,7 +93,6 @@ __all__ = [
     "Metrics",
     "ReuseTable",
     "compile_program",
-    "run_source",
     "Workload",
     "get_workload",
     "ALL_WORKLOADS",

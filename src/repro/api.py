@@ -19,15 +19,12 @@ This module is the one supported way in::
             session.run(source, stream)
 
     All compile-time knobs travel in one frozen :class:`CompileOptions`
-    value (per-run knobs in :class:`RunOptions`); the old loose keywords
-    keep working behind a :class:`DeprecationWarning` shim.
+    value (per-run knobs in :class:`RunOptions`).
 
 Everything here is a thin veneer over :class:`~repro.reuse.pipeline.ReusePipeline`,
 :class:`~repro.runtime.machine.Machine`, and the observability layer; the
 facade adds lifecycle (lazy profiling, per-opt program memoization, table
-warming, warm executables, disk caching) and one stable result type.  The
-legacy entry point ``repro.runtime.run_source`` remains as a deprecated
-shim.
+warming, warm executables, disk caching) and one stable result type.
 
 Input-literal parsing for the CLI also lives here
 (:func:`parse_input_literal` / :func:`parse_input_stream`): one parser for
@@ -43,7 +40,6 @@ import json
 import math
 import threading
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -63,6 +59,7 @@ from .runtime.compiler import compile_program
 from .runtime.governor import GovernorPolicy
 from .runtime.machine import Machine, Metrics
 from .runtime.srcmap import SourceMap
+from .runtime.vm import compile_vm_program
 
 __all__ = [
     "CompileOptions",
@@ -168,47 +165,14 @@ class RunOptions:
             )
 
 
-_COMPILE_LEGACY_KEYS = (
-    "opt",
-    "reuse",
-    "config",
-    "governed",
-    "trace",
-    "profile",
-    "profile_inputs",
-    "backend",
-)
-
-
-def _options_from_legacy(
-    where: str, options: Optional[CompileOptions], legacy: dict, allowed=_COMPILE_LEGACY_KEYS
-) -> CompileOptions:
-    """Resolve the ``options=`` value against deprecated loose keywords.
-
-    The old keyword surface keeps working — ``repro.compile(src,
-    opt="O3")`` builds the equivalent :class:`CompileOptions` — but
-    warns; mixing both spellings is an error, not a merge."""
-    if legacy:
-        unknown = sorted(set(legacy) - set(allowed))
-        if unknown:
-            raise ConfigError(f"{where}() got unexpected keyword(s): {', '.join(unknown)}")
-        if options is not None:
-            raise ConfigError(
-                f"{where}() takes options= or legacy keywords, not both"
-            )
-        named = ", ".join(f"{key}=..." for key in sorted(legacy))
-        warnings.warn(
-            f"repro.{where}({named}) keyword arguments are deprecated; "
-            f"pass options=repro.CompileOptions(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return CompileOptions(**legacy)
+def _checked_options(options, kind: type, default):
+    """``options`` if it is a ``kind`` instance, ``default`` for ``None``;
+    anything else is a :class:`~repro.errors.ConfigError`."""
     if options is None:
-        return CompileOptions()
-    if not isinstance(options, CompileOptions):
+        return default
+    if not isinstance(options, kind):
         raise ConfigError(
-            f"options must be a CompileOptions, got {type(options).__name__}"
+            f"options must be a {kind.__name__}, got {type(options).__name__}"
         )
     return options
 
@@ -517,8 +481,6 @@ class CompiledProgram:
         self,
         inputs: Sequence = (),
         options: Optional[RunOptions] = None,
-        *,
-        entry: Optional[str] = None,
     ) -> RunResult:
         """One measured execution; returns a :class:`RunResult`.
 
@@ -529,26 +491,9 @@ class CompiledProgram:
         warm executable from the program's pool when one is idle, so
         code generation is paid once per concurrent slot (observer-
         profiled programs excepted).  Per-run knobs travel in a
-        :class:`RunOptions` value; the loose ``entry=`` keyword remains
-        as a deprecated shim.
+        :class:`RunOptions` value.
         """
-        if entry is not None:
-            if options is not None:
-                raise ConfigError("run() takes options= or entry=, not both")
-            warnings.warn(
-                "repro.CompiledProgram.run(entry=...) is deprecated; "
-                "pass options=repro.RunOptions(entry=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = RunOptions(entry=entry)
-        elif options is None:
-            options = RunOptions()
-        elif not isinstance(options, RunOptions):
-            raise ConfigError(
-                f"options must be a RunOptions, got {type(options).__name__}"
-            )
-        entry = options.entry
+        entry = _checked_options(options, RunOptions, RunOptions()).entry
         inputs = list(inputs)
         if self.reuse and self.result is None:
             self.profile(
@@ -647,7 +592,10 @@ class CompiledProgram:
             program = self._program_for(self.opt)
         else:
             program = self._programs[self.opt]
-        vm_program = compile_program(program, machine)
+        # straight to the VM compiler: compile_program would fall back to
+        # closures on an untranslatable program, and there is no bytecode
+        # to show then
+        vm_program = compile_vm_program(program, machine)
         return vm_program, machine.source_map
 
     def _annotate_run_span(self, span, metrics: Metrics, tables: dict) -> None:
@@ -703,7 +651,6 @@ def compile(
     options: Optional[CompileOptions] = None,
     *,
     metrics=None,
-    **legacy,
 ) -> CompiledProgram:
     """Prepare mini-C ``source`` for measured execution on the simulated
     StrongARM; the stable entry point of the package.
@@ -714,7 +661,7 @@ def compile(
             :class:`~repro.reuse.pipeline.PipelineConfig`, governed
             tables, tracing, cycle profiling, pinned profiling inputs,
             and the execution backend.  ``None`` means the defaults
-            (``O0``, reuse on, static tables, closures-or-``REPRO_BACKEND``).
+            (``O0``, reuse on, static tables, ``REPRO_BACKEND`` or the VM).
         metrics: publish live metrics into a
             :class:`~repro.obs.metrics.MetricsRegistry` — ``True`` for a
             fresh registry (on :attr:`CompiledProgram.registry`), or pass
@@ -723,16 +670,10 @@ def compile(
             program's metrics stay bit-identical.  Kept out of
             :class:`CompileOptions` because a registry is live shared
             state, not a compile-time constant.
-        **legacy: the pre-:class:`CompileOptions` loose keywords
-            (``opt=``, ``reuse=``, ``config=``, ``governed=``,
-            ``trace=``, ``profile=``, ``profile_inputs=``,
-            ``backend=``).  They still work but emit a
-            :class:`DeprecationWarning`; mixing them with ``options=``
-            is a :class:`~repro.errors.ConfigError`.
     """
     return CompiledProgram(
         source,
-        _options_from_legacy("compile", options, legacy),
+        _checked_options(options, CompileOptions, CompileOptions()),
         metrics=metrics,
     )
 
@@ -768,14 +709,8 @@ class Session:
         *,
         cache=None,
         metrics=None,
-        **legacy,
     ) -> None:
-        self.options = _options_from_legacy(
-            "Session",
-            options,
-            legacy,
-            allowed=("opt", "config", "governed", "trace", "backend"),
-        )
+        self.options = _checked_options(options, CompileOptions, CompileOptions())
         self.opt = self.options.opt
         self.backend = self.options.backend
         self.config = self.options.config
@@ -814,51 +749,16 @@ class Session:
         # observers must not share one memo slot
         return (options.content_key(source), options.trace, options.profile)
 
-    def _compile_options(self, legacy: dict) -> CompileOptions:
-        """The session's base options with per-compile legacy overrides
-        (``reuse``/``config``/``profile_inputs``) applied."""
-        base = self.options
-        if legacy.get("config") is None:
-            legacy.pop("config", None)
-        return base.replace(**legacy) if legacy else base
-
     def compile(
-        self,
-        source: str,
-        options: Optional[CompileOptions] = None,
-        **legacy,
+        self, source: str, options: Optional[CompileOptions] = None
     ) -> CompiledProgram:
         """Like :func:`repro.compile`, but the program shares this
         session's settings, disk cache, and keeps warmed tables.
         Compiling the same source (and options) twice returns the same
         program.  ``options`` overrides the session's defaults for this
-        program; the old loose keywords (``reuse=``, ``config=``,
-        ``profile_inputs=``) remain as a deprecated shim."""
+        program."""
         self._check_open("compile()")
-        if legacy:
-            unknown = sorted(set(legacy) - {"reuse", "config", "profile_inputs"})
-            if unknown:
-                raise ConfigError(
-                    f"Session.compile() got unexpected keyword(s): {', '.join(unknown)}"
-                )
-            if options is not None:
-                raise ConfigError(
-                    "Session.compile() takes options= or legacy keywords, not both"
-                )
-            named = ", ".join(f"{key}=..." for key in sorted(legacy))
-            warnings.warn(
-                f"repro.Session.compile({named}) keyword arguments are deprecated; "
-                f"pass options=repro.CompileOptions(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = self._compile_options(legacy)
-        elif options is None:
-            options = self.options
-        elif not isinstance(options, CompileOptions):
-            raise ConfigError(
-                f"options must be a CompileOptions, got {type(options).__name__}"
-            )
+        options = _checked_options(options, CompileOptions, self.options)
         memo = self._memo_key(source, options)
         program = self._programs.get(memo)
         if program is None:

@@ -309,8 +309,9 @@ def cmd_annotate(args) -> int:
 def cmd_disasm(args) -> int:
     """Dump the VM bytecode of a workload (or file) interleaved with the
     source lines it compiled from, including per-line breakdowns of
-    fused CHARGE groups.  By default the reuse-transformed program is
-    shown (probes and all); ``--no-reuse`` disassembles the original."""
+    block-batched CHARGE groups.  By default the reuse-transformed
+    program is shown (probes and all); ``--no-reuse`` disassembles the
+    original."""
     from .obs.annotate import render_disasm
 
     source, inputs, _run_inputs, config, _title = _resolve_target(args)
@@ -710,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("closures", "vm"),
         default=None,
-        help="execution backend (default: REPRO_BACKEND or closures)",
+        help="execution backend (default: REPRO_BACKEND or vm)",
     )
     p_run.add_argument("--entry", default="main")
     p_run.add_argument("--inputs", help="comma-separated input stream")

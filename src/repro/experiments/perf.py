@@ -26,9 +26,11 @@ from ..workloads import get_workload
 from .adaptive import workload_config
 from .cache import CODE_VERSION
 
-# "static"/"governed" run the closure backend; "vm" is static tables on
-# the register-bytecode backend — same cycles and checksum by the VM
-# differential, so the gate catches either backend drifting.
+# "static"/"governed" run the closure backend (the unfused reference
+# oracle, pinned explicitly now that the VM is the default); "vm" is
+# static tables on the register-bytecode backend — same cycles and
+# checksum by the VM differential, so the gate catches either backend
+# drifting.
 VARIANTS = ("static", "governed", "vm")
 
 
@@ -55,7 +57,7 @@ def measure_workload(
             config=workload_config(workload),
             governed=variant == "governed",
             profile=True,
-            backend="vm" if variant == "vm" else None,
+            backend="vm" if variant == "vm" else "closures",
         ),
         metrics=metrics,
     )

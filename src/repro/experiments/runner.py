@@ -77,16 +77,10 @@ class ExperimentRunner:
     ``cache`` is an optional :class:`~repro.experiments.cache.ExperimentCache`
     that persists pipeline results and measured runs to disk across
     processes and invocations; without it, caching is in-memory only.
-    ``fuse`` selects block-fused cost accounting for the measured machines
-    (metrics are bit-identical either way; the flag exists for the
-    differential harness).
     """
 
-    def __init__(
-        self, cache: Optional[ExperimentCache] = None, fuse: bool = True
-    ) -> None:
+    def __init__(self, cache: Optional[ExperimentCache] = None) -> None:
         self._cache = cache
-        self._fuse = fuse
         self._pipelines: dict[str, PipelineResult] = {}
         self._inputs: dict[str, list] = {}
         self._alt_inputs: dict[str, list] = {}
@@ -140,15 +134,13 @@ class ExperimentRunner:
     ) -> MeasuredRun:
         key = None
         if self._cache is not None:
-            key = cache_key(
-                "run-original", workload.source, opt_level, self._fuse, inputs
-            )
+            key = cache_key("run-original", workload.source, opt_level, inputs)
             cached = self._cache.load_run(key)
             if cached is not None:
                 return cached[0]
         program = analyze(parse_program(workload.source))
         optimize(program, opt_level)
-        machine = Machine(opt_level, fuse=self._fuse)
+        machine = Machine(opt_level)
         machine.set_inputs(list(inputs))
         with get_tracer().span(
             "run.original",
@@ -191,7 +183,6 @@ class ExperimentRunner:
                 workload.source,
                 asdict(self._pipeline_config(workload)),
                 opt_level,
-                self._fuse,
                 capacity_override,
                 max_table_bytes,
                 inputs,
@@ -201,7 +192,7 @@ class ExperimentRunner:
                 return cached
         result = self.pipeline(workload)
         program = self._transformed_program(workload, opt_level)
-        machine = Machine(opt_level, fuse=self._fuse)
+        machine = Machine(opt_level)
         machine.set_inputs(list(inputs))
         tables = self._build_tables(result, max_table_bytes)
         for seg_id, table in tables.items():
@@ -361,7 +352,7 @@ class ExperimentRunner:
             groups.setdefault(cfg[0], []).append(idx)
         cache_root = str(self._cache.root) if self._cache is not None else None
         tasks = [
-            ([normalized[i] for i in indices], cache_root, self._fuse, tracer.enabled)
+            ([normalized[i] for i in indices], cache_root, tracer.enabled)
             for indices in groups.values()
         ]
         results: list[Optional[ComparisonRun]] = [None] * len(normalized)
@@ -413,14 +404,14 @@ def _compare_worker(task) -> tuple[list[ComparisonRun], Optional[dict]]:
     the serial in-process path never double-records into the
     coordinator's tracer.
     """
-    configs, cache_root, fuse, trace_enabled = task
+    configs, cache_root, trace_enabled = task
     from ..workloads.registry import get_workload
 
     worker_tracer = Tracer(enabled=trace_enabled)
     previous = set_tracer(worker_tracer)
     try:
         cache = ExperimentCache(cache_root) if cache_root is not None else None
-        runner = ExperimentRunner(cache=cache, fuse=fuse)
+        runner = ExperimentRunner(cache=cache)
         runs = [
             runner.compare(
                 get_workload(name),

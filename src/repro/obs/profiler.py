@@ -11,9 +11,8 @@ per-node totals sum bit-exactly to ``Metrics.cycles`` — the conservation
 property the differential test asserts.
 
 Attribution boundaries are only ever function calls and reuse
-intrinsics, both of which are unfusable
-(:mod:`repro.runtime.fuse` never fuses across them), so fused and
-unfused execution attribute identically.
+intrinsics, both of which flush the VM's block-batched charges, so the
+VM and the (unbatched) closure tree attribute identically.
 
 Segment nodes split their self-cycles into two buckets, following the
 paper's accounting identity (formula 3, gain = ``R*C - O``):

@@ -29,37 +29,6 @@ from .values import (
 )
 
 
-def run_source(source: str, entry: str = "main", opt_level: str = "O0", inputs=()):
-    """Compile and run mini-C source in one call; returns (result, metrics).
-
-    .. deprecated::
-        Use the stable facade instead::
-
-            options = repro.CompileOptions(opt=opt_level, reuse=False)
-            result = repro.compile(source, options).run(inputs)
-
-        Note one semantic difference: ``run_source`` never runs the -O3
-        optimizer (``opt_level`` only selects the cost table), while the
-        facade optimizes at ``opt="O3"``.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.runtime.run_source is deprecated; use "
-        "repro.compile(source, reuse=False).run(inputs)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..minic import frontend
-
-    program = frontend(source)
-    machine = Machine(opt_level)
-    machine.set_inputs(list(inputs))
-    compiled = compile_program(program, machine)
-    result = compiled.run(entry)
-    return result, machine.metrics()
-
-
 __all__ = [
     "CompiledFunction",
     "CompiledProgram",
@@ -77,7 +46,6 @@ __all__ = [
     "Metrics",
     "hash_key_words",
     "jenkins_one_at_a_time",
-    "run_source",
     "wrap32",
     "to_u32",
     "c_div",

@@ -26,7 +26,7 @@ from ..minic import astnodes as ast
 from ..minic.builtins import BUILTINS
 from ..minic.sema import Typer
 from ..minic.types import FLOAT, ArrayType, PointerType, decay
-from . import fuse, intrinsics
+from . import intrinsics
 from .costs import (
     ALU,
     BRANCH,
@@ -177,21 +177,26 @@ def _ensure_recursion_limit() -> None:
 def compile_program(program: ast.Program, machine: Machine) -> CompiledProgram:
     """Compile a resolved mini-C program against ``machine``.
 
-    When ``machine.fuse`` is true (the default), straight-line regions
-    with compile-time-known operation classes are compiled to fused
-    Python functions that charge their tally vector in one batch (see
-    :mod:`repro.runtime.fuse`); accounting is bit-identical either way.
+    ``machine.backend`` selects the execution strategy: ``"vm"`` (the
+    default) compiles to the register bytecode (:mod:`repro.runtime.vm`),
+    ``"closures"`` builds the closure tree defined in this module — the
+    unfused reference oracle, which charges every operation where it
+    happens.  Both expose the same program interface and produce
+    bit-identical cycles, outputs, metrics, and ledger verdicts.
 
-    ``machine.backend`` selects the execution strategy: ``"closures"``
-    builds the closure tree defined in this module, ``"vm"`` compiles to
-    the register bytecode (:mod:`repro.runtime.vm`).  Both expose the
-    same program interface and produce bit-identical cycles, outputs,
-    metrics, and ledger verdicts.
+    If any function's bytecode cannot be translated
+    (:class:`~repro.runtime.vm.vm.Untranslatable`), the *whole* program
+    is compiled on closures instead; the source map, when installed, is
+    emptied first so no half-built VM debug info survives.
     """
     if getattr(machine, "backend", "closures") == "vm":
-        from .vm import compile_vm_program
+        from .vm import Untranslatable, compile_vm_program
 
-        return compile_vm_program(program, machine)
+        try:
+            return compile_vm_program(program, machine)
+        except Untranslatable:
+            if machine.source_map is not None:
+                machine.source_map.functions.clear()
     _ensure_recursion_limit()
     if machine.source_map is not None:
         machine.source_map.backend = "closures"
@@ -293,15 +298,10 @@ class _FunctionCompiler:
         self.machine = machine
         self.ctr = machine.counters
         # Line-attribution mode: the profiler tracks lines, so every
-        # statement closure gets an ``at_line`` mark.  Statement fusion
-        # would batch charges across statement boundaries — fused and
-        # unfused metrics are bit-identical, so disabling fusion here
-        # changes nothing the cost model can see, only the granularity
-        # marks become observable at.
+        # statement closure gets an ``at_line`` mark.
         self.lined = machine.cycle_profiler is not None and getattr(
             machine.cycle_profiler, "track_lines", False
         )
-        self.fuse = machine.fuse and not self.lined
         source_map = machine.source_map
         self.srcmap = None if source_map is None else source_map.function(fn.name)
         self.cur_line = 0
@@ -330,9 +330,7 @@ class _FunctionCompiler:
     def compile_stmt(self, stmt: ast.Stmt) -> StmtClosure:
         line = stmt.line
         tracked = self._note_stmt(stmt)
-        if self.fuse and fuse.fusable_stmt(stmt, self):
-            return fuse.fuse_region([stmt], self)
-        run = self._compile_stmt_unfused(stmt)
+        run = self._compile_stmt_kind(stmt)
         if self.lined and tracked:
             # Statement-start mark, mirroring the VM's PROF_LINE op: the
             # delta since the previous boundary belongs to the previous
@@ -346,7 +344,7 @@ class _FunctionCompiler:
             return run_line
         return run
 
-    def _compile_stmt_unfused(self, stmt: ast.Stmt) -> StmtClosure:
+    def _compile_stmt_kind(self, stmt: ast.Stmt) -> StmtClosure:
         if isinstance(stmt, ast.Block):
             return self._compile_block(stmt)
         if isinstance(stmt, ast.ExprStmt):
@@ -392,25 +390,7 @@ class _FunctionCompiler:
         raise InterpError(f"cannot compile statement {type(stmt).__name__}")
 
     def _compile_block(self, block: ast.Block) -> StmtClosure:
-        if self.fuse:
-            # Fuse maximal runs of consecutive fusable statements into
-            # single batched-accounting functions; calls, escaping control
-            # flow, and profiling stubs break runs and stay exact.
-            stmts: list[StmtClosure] = []
-            run: list[ast.Stmt] = []
-            for s in block.stmts:
-                self._note_stmt(s)
-                if fuse.fusable_stmt(s, self):
-                    run.append(s)
-                else:
-                    if run:
-                        stmts.append(fuse.fuse_region(run, self))
-                        run = []
-                    stmts.append(self._compile_stmt_unfused(s))
-            if run:
-                stmts.append(fuse.fuse_region(run, self))
-        else:
-            stmts = [self.compile_stmt(s) for s in block.stmts]
+        stmts = [self.compile_stmt(s) for s in block.stmts]
         if not stmts:
             return lambda fr: None
         if len(stmts) == 1:
@@ -657,15 +637,6 @@ class _FunctionCompiler:
     # -- expressions -----------------------------------------------------------
 
     def compile_expr(self, expr: ast.Expr) -> ExprClosure:
-        if (
-            self.fuse
-            and fuse.expr_fuse_size(expr) >= fuse.EXPR_FUSE_THRESHOLD
-            and fuse.fusable_expr(expr, self)
-        ):
-            return fuse.fuse_expr(expr, self)
-        return self._compile_expr_unfused(expr)
-
-    def _compile_expr_unfused(self, expr: ast.Expr) -> ExprClosure:
         ctr = self.ctr
         if isinstance(expr, ast.IntLit):
             value = wrap32(expr.value)
@@ -1138,7 +1109,7 @@ class _FunctionCompiler:
 
             # Specialize the common arities: building the argument tuple
             # through a generator expression dominates call-heavy
-            # workloads, and calls are the hot unfused construct.
+            # workloads.
             if len(args) == 0:
 
                 def run_call0(fr, fn=fn, ctr=ctr):

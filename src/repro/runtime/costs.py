@@ -82,35 +82,6 @@ _OP_NJ = [0.2, 0.5, 0.5, 1.1, 1.1, 1.4, 1.4, 0.3, 0.9, 6.0, 13.0, 17.0, 38.0, 0.
 BASE_WATTS = 1.9
 
 
-# Tally vectors ------------------------------------------------------------
-#
-# A *tally vector* is a length-N_CLASSES list of per-class operation
-# counts — the same shape as ``Machine.counters``.  Block-fused execution
-# (:mod:`repro.runtime.fuse`) precomputes one static tally vector per
-# basic block and charges it in a single batched update.
-
-
-def zero_tally() -> list[int]:
-    """A fresh all-zero tally vector."""
-    return [0] * N_CLASSES
-
-
-def add_tally(dst: list, delta) -> None:
-    """Accumulate ``delta`` (a tally vector) into ``dst`` in place."""
-    for i, n in enumerate(delta):
-        if n:
-            dst[i] += n
-
-
-def tally_pairs(delta) -> list[tuple[int, int]]:
-    """The nonzero (class, count) pairs of a tally vector, in class order.
-
-    This sparse form is what fused code charges: one ``ctr[K] += n`` per
-    operation class that actually occurs in the block.
-    """
-    return [(i, n) for i, n in enumerate(delta) if n]
-
-
 @dataclass(frozen=True)
 class CostTable:
     """A named per-class cycle table plus the shared energy model."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import ConfigError, InterpError
-from .costs import CLASS_NAMES, N_CLASSES, CostTable, add_tally, cost_table
+from .costs import CLASS_NAMES, N_CLASSES, CostTable, cost_table
 from .values import float_bits
 
 
@@ -80,26 +80,22 @@ class Machine:
         self,
         opt_level: str = "O0",
         capture_output: bool = False,
-        fuse: bool = True,
         backend: str | None = None,
     ) -> None:
         self.cost: CostTable = cost_table(opt_level)
         self.counters: list[int] = [0] * N_CLASSES
-        # Execution backend: the closure tree (the differential oracle)
-        # or the register-bytecode VM.  ``None`` defers to the
-        # REPRO_BACKEND environment variable so an unmodified test suite
-        # can be pointed at either backend wholesale.
+        # Execution backend: the register-bytecode VM (the default, and
+        # the fast engine) or the closure tree (the unfused reference
+        # oracle).  ``None`` defers to the REPRO_BACKEND environment
+        # variable so an unmodified test suite can be pointed at either
+        # backend wholesale.
         if backend is None:
-            backend = os.environ.get("REPRO_BACKEND", "closures") or "closures"
+            backend = os.environ.get("REPRO_BACKEND") or "vm"
         if backend not in self.BACKENDS:
             raise ConfigError(
                 f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
             )
         self.backend = backend
-        # Block-fused cost accounting (repro.runtime.fuse).  Fused and
-        # unfused execution produce bit-identical metrics; the flag exists
-        # for the differential harness and for debugging.
-        self.fuse = fuse
         self.globals: list = []
         self.reuse_tables: dict[int, object] = {}
         self.profiler = None
@@ -183,12 +179,8 @@ class Machine:
     # -- accounting ----------------------------------------------------------------
 
     def reset_counters(self) -> None:
-        # In place: compiled closures and fused regions capture the list.
+        # In place: compiled closures and translated VM code capture the list.
         self.counters[:] = [0] * N_CLASSES
-
-    def charge_tally(self, delta) -> None:
-        """Charge a whole tally vector (see :func:`repro.runtime.costs.add_tally`)."""
-        add_tally(self.counters, delta)
 
     def reset_io(self) -> None:
         self._input_pos = 0

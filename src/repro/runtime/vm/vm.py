@@ -1,36 +1,29 @@
-"""Execution engines for the register bytecode.
+"""Execution engine for the register bytecode.
 
-Two engines run the same :class:`~repro.runtime.vm.vm_compiler.VMFunction`
-artifacts:
+Each function's :class:`~repro.runtime.vm.vm_compiler.VMFunction`
+bytecode is translated back into one Python function
+(``compile``/``exec``), with registers as Python locals, native
+``while``/``if`` control flow rebuilt from the compiler's structural jump
+discipline, single-use temporaries re-fused into nested expressions, and
+direct calls patched in at link time.  That whole-function translation
+is where the backend's speedup over the closure tree comes from.
 
-* **dispatch** — a classic ``while True`` opcode loop over the
-  instruction tuples.  Simple, obviously faithful to the opcode
-  semantics, and the fallback for anything the translator declines.
-* **translate** (the default) — each function's bytecode is translated
-  back into one Python function (``compile``/``exec``), with registers
-  as Python locals, native ``while``/``if`` control flow rebuilt from
-  the compiler's structural jump discipline, single-use temporaries
-  re-fused into nested expressions, and direct calls patched in at link
-  time.  This is the whole-function generalization of the region fusion
-  in :mod:`repro.runtime.fuse` and is where the backend's speedup comes
-  from.
+Translation is all or nothing per program: a function whose bytecode
+defeats structural reconstruction raises :class:`Untranslatable`, and
+:func:`~repro.runtime.compiler.compile_program` then compiles the whole
+program on the closure backend instead (the exact reference oracle).
 
-``REPRO_VM_ENGINE=dispatch|translate`` selects the engine (default
-``translate``); a function the translator cannot reconstruct silently
-falls back to dispatch, so the two engines can be mixed per function.
-
-Both engines execute the *reuse and observer ops* through one set of
-shared kernels (``k_probe``/``k_commit``/...), each an exact transplant
-of the corresponding closure intrinsic in
-:mod:`repro.runtime.intrinsics` — same bypass protocol, same charge
-order, same hash-word accounting — which is what makes the backends
-bit-identical on cycles, metrics, and ledger verdicts.
+The *reuse and observer ops* run through one set of kernels
+(``k_probe``/``k_commit``/...), each an exact transplant of the
+corresponding closure intrinsic in :mod:`repro.runtime.intrinsics` —
+same bypass protocol, same charge order, same hash-word accounting —
+which is what makes the backends bit-identical on cycles, metrics, and
+ledger verdicts.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 from collections import Counter
 
@@ -46,11 +39,8 @@ from ..intrinsics import (
 from ..values import (
     c_div,
     c_mod,
-    c_shl,
-    c_shr,
     copy_into,
     deep_copy_value,
-    wrap32,
     zero_value,
 )
 from . import vm_opcodes as op
@@ -66,7 +56,7 @@ def _float_div(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared reuse/observer kernels (one implementation for both engines)
+# Reuse/observer kernels
 # ---------------------------------------------------------------------------
 #
 # ``vals`` are the already-fetched source values (the descriptors only name
@@ -181,258 +171,6 @@ def _icall(target):
     return target.call
 
 
-def _fetch(machine, regs, srcs):
-    vals = []
-    for mode, slot in srcs:
-        if mode == 0:  # SRC_REG
-            vals.append(regs[slot])
-        elif mode == 1:  # SRC_BOX
-            vals.append(regs[slot][0])
-        elif mode == 2:  # SRC_GLOBAL
-            vals.append(machine.globals[slot])
-        else:  # SRC_CONST: the slot IS the literal value
-            vals.append(slot)
-    return vals
-
-
-# ---------------------------------------------------------------------------
-# Dispatch engine
-# ---------------------------------------------------------------------------
-
-
-def install_dispatch(vmfn: VMFunction, prog: "VMProgram") -> None:
-    """Install a dispatch-loop ``call`` on ``vmfn``."""
-    machine = vmfn.machine
-    ctr = machine.counters
-    code = vmfn.code
-    consts = vmfn.consts
-    nregs = vmfn.nregs
-    param_specs = vmfn.param_specs
-    fns = prog.by_index
-    prof = vmfn.cycle_profiler
-    name = vmfn.name
-
-    def call(*args):
-        R = [0] * nregs
-        for (slot, boxed), value in zip(param_specs, args):
-            R[slot] = [value] if boxed else value
-        g = machine.globals
-        pc = 0
-        while True:
-            ins = code[pc]
-            o = ins[0]
-            if o == op.CHARGE:
-                for cls, n in ins[1]:
-                    ctr[cls] += n
-            elif o == op.MOV:
-                R[ins[1]] = R[ins[2]]
-            elif o == op.LOADI:
-                R[ins[1]] = ins[2]
-            elif o == op.ADD:
-                R[ins[1]] = wrap32(R[ins[2]] + R[ins[3]])
-            elif o == op.SUB:
-                R[ins[1]] = wrap32(R[ins[2]] - R[ins[3]])
-            elif o == op.MUL:
-                R[ins[1]] = wrap32(R[ins[2]] * R[ins[3]])
-            elif o == op.DIV:
-                R[ins[1]] = c_div(R[ins[2]], R[ins[3]])
-            elif o == op.MOD:
-                R[ins[1]] = c_mod(R[ins[2]], R[ins[3]])
-            elif o == op.SHL:
-                R[ins[1]] = c_shl(R[ins[2]], R[ins[3]])
-            elif o == op.SHR:
-                R[ins[1]] = c_shr(R[ins[2]], R[ins[3]])
-            elif o == op.AND:
-                R[ins[1]] = R[ins[2]] & R[ins[3]]
-            elif o == op.OR:
-                R[ins[1]] = R[ins[2]] | R[ins[3]]
-            elif o == op.XOR:
-                R[ins[1]] = R[ins[2]] ^ R[ins[3]]
-            elif o == op.NEG:
-                R[ins[1]] = wrap32(-R[ins[2]])
-            elif o == op.BNOT:
-                R[ins[1]] = ~R[ins[2]]
-            elif o == op.NOT:
-                R[ins[1]] = 0 if R[ins[2]] else 1
-            elif o == op.BOOL:
-                R[ins[1]] = 1 if R[ins[2]] else 0
-            elif o == op.FADD:
-                R[ins[1]] = R[ins[2]] + R[ins[3]]
-            elif o == op.FSUB:
-                R[ins[1]] = R[ins[2]] - R[ins[3]]
-            elif o == op.FMUL:
-                R[ins[1]] = R[ins[2]] * R[ins[3]]
-            elif o == op.FDIV:
-                R[ins[1]] = _float_div(R[ins[2]], R[ins[3]])
-            elif o == op.FNEG:
-                R[ins[1]] = -R[ins[2]]
-            elif o == op.EQ:
-                R[ins[1]] = 1 if R[ins[2]] == R[ins[3]] else 0
-            elif o == op.NE:
-                R[ins[1]] = 1 if R[ins[2]] != R[ins[3]] else 0
-            elif o == op.LT:
-                R[ins[1]] = 1 if R[ins[2]] < R[ins[3]] else 0
-            elif o == op.LE:
-                R[ins[1]] = 1 if R[ins[2]] <= R[ins[3]] else 0
-            elif o == op.GT:
-                R[ins[1]] = 1 if R[ins[2]] > R[ins[3]] else 0
-            elif o == op.GE:
-                R[ins[1]] = 1 if R[ins[2]] >= R[ins[3]] else 0
-            elif o == op.JUMP:
-                pc = ins[1]
-                continue
-            elif o == op.JF:
-                if not R[ins[1]]:
-                    pc = ins[2]
-                    continue
-            elif o == op.JT:
-                if R[ins[1]]:
-                    pc = ins[2]
-                    continue
-            elif o == op.RETV:
-                ctr[RET] += 1
-                return R[ins[1]]
-            elif o == op.RET0:
-                ctr[RET] += 1
-                return 0
-            elif o == op.LOADG:
-                R[ins[1]] = g[ins[2]]
-            elif o == op.STOREG:
-                g[ins[1]] = R[ins[2]]
-            elif o == op.GETBOX:
-                R[ins[1]] = R[ins[2]][0]
-            elif o == op.SETBOX:
-                R[ins[1]][0] = R[ins[2]]
-            elif o == op.NEWBOX:
-                R[ins[1]] = [R[ins[2]]]
-            elif o == op.NEWBOXI:
-                R[ins[1]] = [ins[2]]
-            elif o == op.ALLOC_Z:
-                R[ins[1]] = zero_value(consts[ins[2]])
-            elif o == op.ALLOC_T:
-                R[ins[1]] = deep_copy_value(consts[ins[2]])
-            elif o == op.PADD:
-                p = R[ins[2]]
-                i = R[ins[3]]
-                R[ins[1]] = (p[0], p[1] + i) if type(p) is tuple else (p, i)
-            elif o == op.PSUB:
-                p = R[ins[2]]
-                i = -R[ins[3]]
-                R[ins[1]] = (p[0], p[1] + i) if type(p) is tuple else (p, i)
-            elif o == op.PDIFF:
-                a = R[ins[2]]
-                b = R[ins[3]]
-                ao = a[1] if type(a) is tuple else 0
-                bo = b[1] if type(b) is tuple else 0
-                R[ins[1]] = ao - bo
-            elif o == op.IDX:
-                b = R[ins[2]]
-                i = R[ins[3]]
-                R[ins[1]] = b[0][b[1] + i] if type(b) is tuple else b[i]
-            elif o == op.IDXW:
-                b = R[ins[1]]
-                i = R[ins[2]]
-                if type(b) is tuple:
-                    b[0][b[1] + i] = R[ins[3]]
-                else:
-                    b[i] = R[ins[3]]
-            elif o == op.ADDR:
-                b = R[ins[2]]
-                i = R[ins[3]]
-                R[ins[1]] = (b[0], b[1] + i) if type(b) is tuple else (b, i)
-            elif o == op.DEREF:
-                p = R[ins[2]]
-                R[ins[1]] = p[0][p[1]] if type(p) is tuple else p[0]
-            elif o == op.DEREFW:
-                p = R[ins[1]]
-                if type(p) is tuple:
-                    p[0][p[1]] = R[ins[2]]
-                else:
-                    p[0] = R[ins[2]]
-            elif o == op.CALL:
-                R[ins[1]] = fns[ins[2]].call(*[R[a] for a in ins[3]])
-            elif o == op.CALLI:
-                R[ins[1]] = _icall(R[ins[2]])(*[R[a] for a in ins[3]])
-            elif o == op.LOADFN:
-                R[ins[1]] = fns[ins[2]]
-            elif o == op.INPUT_I:
-                R[ins[1]] = wrap32(int(machine.next_input()))
-            elif o == op.INPUT_F:
-                R[ins[1]] = float(machine.next_input())
-            elif o == op.INPUT_AV:
-                R[ins[1]] = machine.input_available()
-            elif o == op.OUTPUT:
-                machine.emit(R[ins[1]])
-            elif o == op.PRINT:
-                machine.debug_log.append(R[ins[1]])
-            elif o == op.ASSERT:
-                if not R[ins[1]]:
-                    raise InterpError("__assert failed")
-            elif o == op.CAST_I:
-                R[ins[1]] = wrap32(int(R[ins[2]]))
-            elif o == op.CAST_F:
-                R[ins[1]] = float(R[ins[2]])
-            elif o == op.ABS:
-                R[ins[1]] = wrap32(abs(R[ins[2]]))
-            elif o == op.FABS:
-                R[ins[1]] = abs(float(R[ins[2]]))
-            elif o == op.MIN:
-                R[ins[1]] = min(R[ins[2]], R[ins[3]])
-            elif o == op.MAX:
-                R[ins[1]] = max(R[ins[2]], R[ins[3]])
-            elif o == op.MATH:
-                R[ins[1]] = float(_MATH_IMPLS[ins[3]](float(R[ins[2]])))
-            elif o == op.PROBE:
-                R[ins[1]] = k_probe(
-                    machine, ctr, ins[2], _fetch(machine, R, ins[4]), ins[3]
-                )
-            elif o == op.ROUT:
-                R[ins[1]] = machine.table_for(ins[2]).output(ins[3])
-            elif o == op.ROUT_ARR:
-                mode, slot = ins[3]
-                dest = (
-                    R[slot]
-                    if mode == 0
-                    else (R[slot][0] if mode == 1 else machine.globals[slot])
-                )
-                k_out_arr(machine, ctr, ins[1], ins[2], dest, ins[4])
-            elif o == op.COMMIT:
-                k_commit(machine, ctr, ins[1], _fetch(machine, R, ins[3]), ins[2])
-            elif o == op.REND:
-                machine.table_for(ins[1]).finish()
-            elif o == op.PROFILE:
-                if machine.profiler is not None:
-                    k_profile(machine, ins[1], _fetch(machine, R, ins[3]), ins[2])
-            elif o == op.SEGE:
-                k_seg_enter(machine, ins[1])
-            elif o == op.SEGX:
-                k_seg_exit(machine, ins[1])
-            elif o == op.PROF_ENTER:
-                prof.enter_function(name)
-            elif o == op.PROF_EXIT:
-                prof.exit_function()
-            elif o == op.PROF_PB:
-                prof.probe_begin(ins[1])
-            elif o == op.PROF_PE:
-                k_probe_end(machine, prof, ins[1], R[ins[2]])
-            elif o == op.PROF_CB:
-                prof.commit_begin(ins[1])
-            elif o == op.PROF_SX:
-                prof.segment_exit(ins[1])
-            elif o == op.PROF_LINE:
-                prof.at_line(ins[1])
-            elif o == op.METER_FUNC:
-                consts[ins[1]].inc()
-            elif o == op.METER_PROBE:
-                k_meter_probe(machine, ins[1], R[ins[2]], consts[ins[3]])
-            else:  # pragma: no cover - complete opcode coverage above
-                raise InterpError(f"unknown opcode {o}")
-            pc += 1
-
-    vmfn.call = call
-    vmfn.engine = "dispatch"
-
-
 # ---------------------------------------------------------------------------
 # Translation engine
 # ---------------------------------------------------------------------------
@@ -443,7 +181,7 @@ class Untranslatable(Exception):
 
 
 def _w32(atom: str) -> str:
-    """Inline signed 32-bit wrap (same template as repro.runtime.fuse)."""
+    """Inline signed 32-bit wrap."""
     return f"((({atom}) & 4294967295) ^ 2147483648) - 2147483648"
 
 
@@ -627,8 +365,8 @@ class _Translator:
     every if/else and short-circuit join is the ``JUMP`` immediately
     before the false-branch target, and ``break``/``continue`` are
     forward jumps to the recorded loop exit/tail.  Any jump that doesn't
-    fit raises :class:`Untranslatable` and the function falls back to
-    the dispatch engine.
+    fit raises :class:`Untranslatable`, and the whole program falls back
+    to the closure backend.
 
     Expression re-fusion: a temp register written once and read once
     stays *pending* — its defining expression is inlined into the
@@ -637,8 +375,9 @@ class _Translator:
     exactly the bytecode's).  Every emitted statement first flushes the
     pending list, so no pending computation ever floats across a store,
     call, or observer op; only pure pendings may float across a
-    ``CHARGE`` (observable solely on erroring runs — the same divergence
-    class :mod:`repro.runtime.fuse` documents and accepts).
+    ``CHARGE``.  That is observable solely on a run aborted mid-block by
+    an :class:`~repro.errors.InterpError` (the batched charge has already
+    landed), and erroring runs produce no metrics.
     """
 
     def __init__(self, vmfn: VMFunction) -> None:
@@ -1250,9 +989,9 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
 
     Returns the exec namespace and the function indices used for direct
     calls / function values, to be patched by :func:`link_program` once
-    every function has its engine installed.  Raises
-    :class:`Untranslatable` (leaving ``vmfn`` unmodified) when the
-    bytecode defeats structural reconstruction.
+    every function is translated.  Raises :class:`Untranslatable`
+    (leaving ``vmfn`` unmodified) when the bytecode defeats structural
+    reconstruction.
     """
     xl = _Translator(vmfn)
     src = xl.build()
@@ -1289,7 +1028,6 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
     fn = namespace[name]
     fn.vm_source = src  # for debugging / tests
     vmfn.call = fn
-    vmfn.engine = "translate"
     return namespace, xl.used_calls, xl.used_fnobjs
 
 
@@ -1359,20 +1097,12 @@ def compile_vm_program(program, machine) -> VMProgram:
 
 
 def link_program(prog: VMProgram) -> None:
-    """Install an execution engine on every function and patch direct
-    call references between the generated functions."""
-    engine = os.environ.get("REPRO_VM_ENGINE", "translate")
-    translated: list[tuple[dict, set[int], set[int]]] = []
-    for vmfn in prog.by_index:
-        if engine != "dispatch":
-            try:
-                translated.append(install_translated(vmfn))
-                continue
-            except Untranslatable:
-                pass
-        install_dispatch(vmfn, prog)
+    """Translate every function and patch direct call references between
+    the generated functions.  :class:`Untranslatable` propagates: one
+    function that cannot be translated fails the whole program."""
+    translated = [install_translated(vmfn) for vmfn in prog.by_index]
     # Direct calls bind the callee's entry point without per-call lookups;
-    # this must wait until every function has its engine installed.
+    # this must wait until every function is translated.
     for namespace, used_calls, used_fnobjs in translated:
         for fi in used_calls:
             namespace[f"_F{fi}"] = prog.by_index[fi].call

@@ -5,8 +5,9 @@ decision for decision: the same typed operator selection, the same
 evaluation order, and the same charge classes in the same places.  The
 one representational difference is *when* counters are touched — charges
 accumulate in a pending tally and are emitted as one ``CHARGE`` op per
-basic block (exactly the discipline :mod:`repro.runtime.fuse` proved
-bit-identical), flushed before every jump target, call, and observer op.
+basic block, flushed before every jump target, call, and observer op.
+Within a basic block the tally is a static property of the code, so the
+batched charge leaves the same counters at every flush point.
 
 Charges are recorded *before* their operand subtrees are compiled, because
 that is when the closures charge (``ctr[cls] += 1`` precedes operand
@@ -22,8 +23,7 @@ without a general CFG analysis: every loop has exactly one backward jump
 (its back edge), ``continue`` compiles to a *forward* jump to the loop's
 tail (the for-step / do-while-condition / the back edge itself), and
 ``break`` to a forward jump past the back edge.  Each loop's shape is
-recorded in a side table (``VMFunction.loops``) that the dispatch engine
-never consults.
+recorded in a side table (``VMFunction.loops``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from ..costs import (
     MEM_WR,
     MUL as C_MUL,
 )
-from ..fuse import _binds_break, _binds_continue
 from ..intrinsics import (
     _KIND_FLOAT,
     _segment_id,
@@ -60,6 +59,36 @@ from ..intrinsics import (
 )
 from ..values import wrap32, zero_value
 from . import vm_opcodes as op
+
+
+def _binds_break(stmt: ast.Stmt) -> bool:
+    """Does ``stmt`` contain a ``break`` binding to the *enclosing* loop?
+
+    Nested loops capture their own ``break``/``continue``, so recursion
+    stops at loop boundaries.
+    """
+    if isinstance(stmt, ast.Break):
+        return True
+    if isinstance(stmt, ast.Block):
+        return any(_binds_break(s) for s in stmt.stmts)
+    if isinstance(stmt, ast.If):
+        if _binds_break(stmt.then):
+            return True
+        return stmt.els is not None and _binds_break(stmt.els)
+    return False
+
+
+def _binds_continue(stmt: ast.Stmt) -> bool:
+    """Like :func:`_binds_break`, for ``continue``."""
+    if isinstance(stmt, ast.Continue):
+        return True
+    if isinstance(stmt, ast.Block):
+        return any(_binds_continue(s) for s in stmt.stmts)
+    if isinstance(stmt, ast.If):
+        if _binds_continue(stmt.then):
+            return True
+        return stmt.els is not None and _binds_continue(stmt.els)
+    return False
 
 
 class Label:
@@ -76,8 +105,8 @@ class VMFunction:
 
     ``loops`` maps each loop header pc to ``(tail_pc, back_pc, wrapped,
     has_break)`` — the structural side table the translation engine uses
-    to rebuild native loops.  ``call`` is installed by the execution
-    engine at link time; ``invoke`` keeps the closure backend's
+    to rebuild native loops.  ``call`` is installed by the translator at
+    link time; ``invoke`` keeps the closure backend's
     ``CompiledFunction`` interface so everything downstream (facade,
     experiment runner, tests) works against either backend.
     """
@@ -97,7 +126,7 @@ class VMFunction:
         self.loops: dict[int, tuple] = {}
         self.machine = None
         self.cycle_profiler = None
-        self.call = None  # installed by the engine at link time
+        self.call = None  # installed by the translator at link time
 
     def invoke(self, args: tuple):
         return self.call(*args)

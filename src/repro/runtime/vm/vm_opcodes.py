@@ -9,11 +9,10 @@ registers above them hold expression temporaries.
 
 Cost accounting is carried *in the opcode stream*: value-computing ops
 never touch the machine's counter tally.  The compiler batches each basic
-block's statically-known operation classes into one ``CHARGE`` op (the
-block-fusion discipline of :mod:`repro.runtime.fuse`), and the few ops
-whose cost depends on runtime data — reuse probes and commits hashing a
-variable number of words — charge inside their kernels, exactly as the
-closure intrinsics do.
+block's statically-known operation classes into one ``CHARGE`` op, and
+the few ops whose cost depends on runtime data — reuse probes and commits
+hashing a variable number of words — charge inside their kernels,
+exactly as the closure intrinsics do.
 
 Observer ops (``PROF_*``, ``METER_*``) exist in the stream only when the
 corresponding observer (cycle profiler, metrics registry) was installed

@@ -160,7 +160,7 @@ class TestCompareMany:
         # the process-pool entry point, run in-process (tracing off)
         name = "G721_encode"
         (run,), payload = _compare_worker(
-            ([(name, "O0", False, None)], str(tmp_path), True, False)
+            ([(name, "O0", False, None)], str(tmp_path), False)
         )
         assert payload is None
         direct = ExperimentRunner().compare(get_workload(name), "O0")
@@ -171,7 +171,7 @@ class TestCompareMany:
     def test_worker_ships_spans_when_tracing(self, tmp_path):
         name = "G721_encode"
         (run,), payload = _compare_worker(
-            ([(name, "O0", False, None)], str(tmp_path), True, True)
+            ([(name, "O0", False, None)], str(tmp_path), True)
         )
         assert isinstance(run, ComparisonRun)
         assert payload is not None

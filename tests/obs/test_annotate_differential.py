@@ -5,8 +5,7 @@ Three pinned properties of the ``profile="lines"`` mode behind
 
 * **Line conservation** — bucketing every simulated cycle by source
   line tiles the run: ``CycleProfile.line_total()`` reproduces
-  ``Metrics.cycles`` bit-exactly, on both backends, at O0 and O3, and
-  on the VM's dispatch engine as well as its default translate engine.
+  ``Metrics.cycles`` bit-exactly, on both backends, at O0 and O3.
 * **Backend agreement** — the closure tree and the bytecode VM charge
   the *same lines the same cycles* (the line marks sit at charge-flush
   boundaries, so the per-line dicts match bit-for-bit), and their
@@ -30,11 +29,9 @@ WORKLOADS = ("UNEPIC", "G721_encode")
 _cache: dict[tuple, api.RunResult] = {}
 
 
-def _line_run(name: str, opt: str, backend: str, engine=None, monkeypatch=None):
-    key = (name, opt, backend, engine)
+def _line_run(name: str, opt: str, backend: str):
+    key = (name, opt, backend)
     if key not in _cache:
-        if engine is not None:
-            monkeypatch.setenv("REPRO_VM_ENGINE", engine)
         workload = get_workload(name)
         program = api.compile(
             workload.source,
@@ -77,18 +74,6 @@ def test_backends_agree_line_for_line(name, opt):
     assert closures.source_map.backend == "closures"
     assert vm.source_map.backend == "vm"
     assert closures.source_map.sites() == vm.source_map.sites()
-
-
-def test_dispatch_engine_matches_translate(monkeypatch):
-    translate = _line_run("UNEPIC", "O0", "vm")
-    dispatch = _line_run("UNEPIC", "O0", "vm", engine="dispatch",
-                         monkeypatch=monkeypatch)
-    assert dispatch.profile().line_total() == dispatch.metrics.cycles
-    assert dispatch.metrics.cycles == translate.metrics.cycles
-    assert (
-        {k: tuple(v) for k, v in dispatch.profile().lines.items()}
-        == {k: tuple(v) for k, v in translate.profile().lines.items()}
-    )
 
 
 def test_source_map_emission_does_not_change_bytecode():

@@ -3,9 +3,7 @@
 With tracing disabled (the default), and equally with tracing *enabled*,
 the pipeline must make bit-identical decisions and the measured runs must
 produce bit-identical metrics for every registered workload at O0 and O3
-— the tracer and ledger are pure observers.  These tests also pin the
-block-fused accounting default: instrumentation rides on top of
-``Machine(fuse=True)``, it does not replace it.
+— the tracer and ledger are pure observers.
 """
 
 import copy
@@ -99,9 +97,3 @@ def test_ledger_produced_either_way():
     untraced, traced, _ = _pipelines(workload)
     assert set(untraced.ledger.records) == set(traced.ledger.records)
 
-
-def test_fused_accounting_still_the_default():
-    assert Machine("O0").fuse is True
-    from repro.experiments import ExperimentRunner
-
-    assert ExperimentRunner()._fuse is True

@@ -1,23 +1,23 @@
-"""Differential harness for block-fused cost accounting.
+"""Differential harness for the fast engine's cost accounting.
 
-Block fusion (:mod:`repro.runtime.fuse`) is a pure performance layer: a
-``Machine(fuse=True)`` must produce *bit-identical* metrics — per-class
-counter tallies, cycles, simulated seconds, energy, and output checksums
-— to the per-op closure interpreter, for every registered workload at
-every optimization level.  These tests enforce that, plus the structural
-invariants fusion relies on: a fused region never spans a call (user
-function, intrinsic, or profiling stub), and branch charges stay exact
-per basic block.
+This suite first pinned block fusion, the closure backend's old fast
+path.  Fusion is gone: the fast engine is now the register VM, which
+likewise compiles straight-line code and ``break``/``continue`` to native
+Python control flow.  The same differentials hold it to the unfused
+closure oracle: ``Machine(backend="vm")`` must produce *bit-identical*
+metrics — per-class counter tallies, cycles, simulated seconds, energy,
+and output checksums — to ``Machine(backend="closures")``, for every
+registered workload at every optimization level, on a reuse-transformed
+program, and on the loop shapes whose BRANCH charges are easiest to get
+wrong.
 """
 
 import pytest
 
 from repro.experiments import ExperimentRunner
 from repro.minic.parser import parse_program
-from repro.minic.sema import Typer, analyze
+from repro.minic.sema import analyze
 from repro.opt.pipeline import optimize
-from repro.runtime import compiler as rc
-from repro.runtime import fuse
 from repro.runtime.compiler import compile_program
 from repro.runtime.machine import Machine
 from repro.workloads.base import PaperNumbers, Workload
@@ -29,23 +29,28 @@ from repro.workloads.registry import ALL_WORKLOADS
 _INPUT_PREFIX = 1024
 
 
-def _measure(source, opt_level, inputs, fused):
+def _measure(source, opt_level, inputs, backend):
     program = analyze(parse_program(source))
     optimize(program, opt_level)
-    machine = Machine(opt_level, fuse=fused)
+    machine = Machine(opt_level, backend=backend)
     machine.set_inputs(list(inputs))
-    compile_program(program, machine).run("main")
-    return machine.metrics()
+    value = compile_program(program, machine).run("main")
+    return value, machine.metrics()
+
+
+def _differential(source, opt_level, inputs):
+    oracle = _measure(source, opt_level, inputs, "closures")
+    fast = _measure(source, opt_level, inputs, "vm")
+    # Metrics equality covers counters, cycles, seconds, joules, checksum.
+    assert fast == oracle
+    return fast[1]
 
 
 @pytest.mark.parametrize("opt_level", ["O0", "O3"])
 @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
 def test_differential_every_workload(workload, opt_level):
     inputs = workload.default_inputs()[:_INPUT_PREFIX]
-    unfused = _measure(workload.source, opt_level, inputs, fused=False)
-    fused = _measure(workload.source, opt_level, inputs, fused=True)
-    # Metrics equality covers counters, cycles, seconds, joules, checksum.
-    assert fused == unfused
+    _differential(workload.source, opt_level, inputs)
 
 
 # -- transformed programs ----------------------------------------------------
@@ -79,97 +84,30 @@ TINY = Workload(
     alternate_inputs=lambda: [5, 9, 33, 5, 9] * 40,
     alternate_label="alt",
     key_function="classify",
-    description="fusion differential workload",
+    description="engine differential workload",
     paper=PaperNumbers(),
     min_executions=16,
 )
 
 
 @pytest.mark.parametrize("opt_level", ["O0", "O3"])
-def test_differential_transformed_program(opt_level):
-    """The reuse-transformed program (probe/commit intrinsics around fused
-    regions) measures identically with fusion on and off."""
-    fused = ExperimentRunner(fuse=True).compare(TINY, opt_level)
-    unfused = ExperimentRunner(fuse=False).compare(TINY, opt_level)
-    assert fused.original == unfused.original
-    assert fused.transformed == unfused.transformed
-    assert {k: vars(v) for k, v in fused.table_stats.items()} == {
-        k: vars(v) for k, v in unfused.table_stats.items()
+def test_differential_transformed_program(opt_level, monkeypatch):
+    """The reuse-transformed program (probe/commit intrinsics around the
+    reused segment) measures identically on the VM and the closures."""
+    runs = {}
+    for backend in ("closures", "vm"):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        runs[backend] = ExperimentRunner().compare(TINY, opt_level)
+    fast, oracle = runs["vm"], runs["closures"]
+    assert fast.original == oracle.original
+    assert fast.transformed == oracle.transformed
+    assert {k: vars(v) for k, v in fast.table_stats.items()} == {
+        k: vars(v) for k, v in oracle.table_stats.items()
     }
+    assert fast.table_stats
 
 
-# -- structural invariants ---------------------------------------------------
-
-
-def _function_compiler(source, func="main"):
-    program = analyze(parse_program(source))
-    machine = Machine("O0", fuse=True)
-    compiled = compile_program(program, machine)
-    fn = next(f for f in program.functions if f.name == func)
-    return rc._FunctionCompiler(fn, compiled, Typer(program), machine), fn
-
-
-def _stmts(source, func="main"):
-    fc, fn = _function_compiler(source, func)
-    return fc, list(fn.body.stmts)
-
-
-def test_fusion_never_spans_user_call():
-    fc, stmts = _stmts(
-        """
-        int f(int x) { return x + 1; }
-        int main(void) { int a = 1; a = f(a); a = a + 2; return a; }
-        """
-    )
-    fusable = [fuse.fusable_stmt(s, fc) for s in stmts]
-    # decl fusable, call statement not, arithmetic fusable, return fusable
-    assert fusable == [True, False, True, True]
-
-
-def test_fusion_never_spans_intrinsic():
-    fc, stmts = _stmts(
-        "int main(void) { int a = 3; __output_int(a); a = a * 2; return 0; }"
-    )
-    assert [fuse.fusable_stmt(s, fc) for s in stmts] == [True, False, True, True]
-
-
-@pytest.mark.parametrize("stub", ["__seg_enter(7)", "__seg_exit(7)"])
-def test_fusion_never_spans_profiling_stub(stub):
-    # the zero-cost stubs are calls, so they always split fused regions
-    fc, stmts = _stmts(
-        f"int main(void) {{ int a = 1; {stub}; a = a + 1; return a; }}"
-    )
-    assert [fuse.fusable_stmt(s, fc) for s in stmts] == [True, False, True, True]
-
-
-def test_branch_charges_flushed_per_block():
-    """The static tally never spans a branch: the generated code flushes
-    pending charges before every conditional, and each arm charges its
-    own block."""
-    fc, stmts = _stmts(
-        """
-        int main(void) {
-            int x = 3;
-            int y = 0;
-            if (x > 1) { y = x + 1; } else { y = x - 1; }
-            return y;
-        }
-        """
-    )
-    assert all(fuse.fusable_stmt(s, fc) for s in stmts)
-    region = fuse.fuse_region(stmts, fc)
-    lines = region.fused_source.splitlines()
-    if_index = next(i for i, l in enumerate(lines) if l.lstrip().startswith("if "))
-    # ... a batched charge was emitted before the branch is taken,
-    assert any("_c[" in l for l in lines[:if_index])
-    # ... and none of the pre-branch batches includes the arms' charges:
-    # each arm flushes separately inside its own (deeper-indented) suite.
-    arm_lines = [l for l in lines[if_index + 1 :] if "_c[" in l]
-    assert arm_lines, "branch arms must charge their own blocks"
-    # the region still executes correctly and returns through Ret
-    frame = [0] * 8
-    result = region(frame)
-    assert type(result) is rc.Ret and result.value == 4
+# -- loop control flow -------------------------------------------------------
 
 
 def test_fused_break_charges_branch_exactly():
@@ -186,10 +124,8 @@ def test_fused_break_charges_branch_exactly():
         return n;
     }
     """
-    unfused = _measure(source, "O0", [], fused=False)
-    fused = _measure(source, "O0", [], fused=True)
-    assert fused == unfused
-    assert fused.counts["branch"] > 0
+    metrics = _differential(source, "O0", [])
+    assert metrics.counts["branch"] > 0
 
 
 def test_continue_in_for_still_runs_step():
@@ -204,9 +140,8 @@ def test_continue_in_for_still_runs_step():
         return n;
     }
     """
-    unfused = _measure(source, "O0", [], fused=False)
-    fused = _measure(source, "O0", [], fused=True)
-    assert fused == unfused
+    _differential(source, "O0", [])
+    assert _measure(source, "O0", [], "vm")[0] == 25
 
 
 def test_do_while_break_and_continue():
@@ -223,15 +158,5 @@ def test_do_while_break_and_continue():
         return n;
     }
     """
-    unfused = _measure(source, "O0", [], fused=False)
-    fused = _measure(source, "O0", [], fused=True)
-    assert fused == unfused
-
-
-def test_machine_fuse_flag_disables_fusion():
-    fc, stmts = _stmts("int main(void) { int a = 1; return a; }")
-    assert fc.fuse is True
-    machine = Machine("O0", fuse=False)
-    program = analyze(parse_program("int main(void) { return 4; }"))
-    compiled = compile_program(program, machine)
-    assert compiled.run("main") == 4
+    _differential(source, "O0", [])
+    assert _measure(source, "O0", [], "vm")[0] == 1 + 2 + 4 + 5 + 7

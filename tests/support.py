@@ -1,10 +1,9 @@
 """Shared test helpers.
 
-``run_plain`` preserves the semantics of the deprecated
-``repro.runtime.run_source``: compile and interpret mini-C without ever
-running the optimizer (``opt_level`` only selects the cost table).  Tests
-that need exactly those semantics use this helper; the facade
-(``repro.compile``) is *not* equivalent because it optimizes at O3.
+``run_plain`` compiles and interprets mini-C without ever running the
+optimizer (``opt_level`` only selects the cost table).  Tests that need
+exactly those semantics use this helper; the facade (``repro.compile``)
+is *not* equivalent because it optimizes at O3.
 """
 
 from repro.minic import frontend

@@ -4,8 +4,9 @@ The facade is a thin, validated veneer over the existing pipeline and
 runtime — these tests pin three contracts: (1) facade runs are
 bit-identical to the legacy wiring they replaced, (2) the input parser
 accepts the full numeric-literal grammar and rejects garbage with
-:class:`~repro.errors.ConfigError`, and (3) the legacy entry points
-survive as shims that warn but still work.
+:class:`~repro.errors.ConfigError`, and (3) the retired loose keywords
+and ``repro.runtime.run_source`` are gone: options travel only in
+:class:`~repro.api.CompileOptions` / :class:`~repro.api.RunOptions`.
 """
 
 import pytest
@@ -14,7 +15,9 @@ import repro
 from repro import api
 from repro.errors import ConfigError
 from repro.reuse import PipelineConfig, ReusePipeline
-from repro.runtime import Machine, compile_program, run_source
+import repro.runtime
+from repro.runtime import Machine, compile_program
+from tests.support import run_plain
 
 # The heavier kernel from the adaptive tests: enough work per call that
 # the reuse transformation is profitable on a high-locality stream.
@@ -112,11 +115,10 @@ class TestValidation:
 
 
 class TestFacadeVsLegacy:
-    def test_plain_run_matches_legacy_run_source(self):
+    def test_plain_run_matches_unoptimized_run(self):
         program = repro.compile(PROGRAM, repro.CompileOptions(reuse=False))
         facade = program.run(INPUTS)
-        with pytest.warns(DeprecationWarning, match=r"repro\."):
-            value, metrics = run_source(PROGRAM, inputs=INPUTS)
+        value, metrics = run_plain(PROGRAM, inputs=INPUTS)
         assert facade.value == value
         assert facade.metrics == metrics
 
@@ -210,10 +212,9 @@ class TestSession:
 
 
 class TestShims:
-    def test_run_source_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.runtime\.run_source"):
-            value, metrics = run_source(PROGRAM, inputs=[1, 2, 3])
-        assert metrics.cycles > 0
+    def test_run_source_removed(self):
+        assert not hasattr(repro.runtime, "run_source")
+        assert not hasattr(repro, "run_source")
 
     def test_build_tables_adaptive_kwarg_retired(self):
         result = ReusePipeline(PROGRAM, PipelineConfig(min_executions=16)).run(
@@ -282,42 +283,49 @@ class TestCompileOptions:
 
 
 class TestLegacyKeywordShims:
-    def test_compile_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.compile\(reuse=\.\.\.\)"):
-            program = repro.compile(PROGRAM, reuse=False)
-        assert program.options == repro.CompileOptions(reuse=False)
-        assert program.run(INPUTS).value is not None
+    """The loose keywords are retired: passing one is a TypeError."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        ["opt", "reuse", "config", "governed", "trace", "profile",
+         "profile_inputs", "backend"],
+    )
+    def test_compile_rejects_legacy_kwargs(self, kw):
+        with pytest.raises(TypeError, match=kw):
+            repro.compile(PROGRAM, **{kw: None})
 
     def test_compile_rejects_options_plus_legacy(self):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError):
             repro.compile(PROGRAM, repro.CompileOptions(), reuse=False)
 
     def test_compile_rejects_unknown_keyword(self):
-        with pytest.raises(ConfigError, match="unexpected"):
+        with pytest.raises(TypeError, match="optimize"):
             repro.compile(PROGRAM, optimize="O3")
 
-    def test_run_entry_kwarg_warns_and_works(self):
+    def test_run_rejects_entry_kwarg(self):
         program = repro.compile(PROGRAM, repro.CompileOptions(reuse=False))
-        with pytest.warns(DeprecationWarning, match=r"repro\.CompiledProgram\.run"):
-            legacy = program.run(INPUTS, entry="main")
-        fresh = program.run(INPUTS, repro.RunOptions(entry="main"))
-        assert legacy.output_checksum == fresh.output_checksum
+        with pytest.raises(TypeError, match="entry"):
+            program.run(INPUTS, entry="main")
 
-    def test_session_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.Session\(opt=\.\.\.\)"):
-            session = api.Session(opt="O3")
-        assert session.options.opt == "O3"
-        session.close()
+    def test_session_rejects_legacy_kwargs(self):
+        with pytest.raises(TypeError, match="opt"):
+            api.Session(opt="O3")
 
-    def test_session_compile_legacy_kwargs_warn(self):
+    def test_session_compile_rejects_legacy_kwargs(self):
         with api.Session() as session:
-            with pytest.warns(DeprecationWarning, match=r"Session\.compile"):
-                program = session.compile(PROGRAM, reuse=False)
-            assert program.reuse is False
+            with pytest.raises(TypeError, match="reuse"):
+                session.compile(PROGRAM, reuse=False)
 
     def test_session_rejects_compile_only_keywords(self):
-        with pytest.raises(ConfigError, match="unexpected"):
+        with pytest.raises(TypeError, match="profile"):
             api.Session(profile=True)
+
+    @pytest.mark.parametrize("options", [{"opt": "O3"}, "O3"])
+    def test_options_must_be_compile_options(self, options):
+        with pytest.raises(ConfigError, match="CompileOptions"):
+            repro.compile(PROGRAM, options)
+        with pytest.raises(ConfigError, match="CompileOptions"):
+            api.Session(options)
 
 
 class TestSessionLifecycle:

@@ -1,20 +1,18 @@
 """The bytecode VM must be bit-identical to the closure oracle.
 
-``Machine(backend="vm")`` compiles mini-C to flat register bytecode and
-executes it through either the translation engine (default) or the
-dispatch loop; the closure tree stays the reference implementation.
-Whatever the backend, one measured run must produce the same simulated
+``Machine(backend="vm")`` (the default) compiles mini-C to flat register
+bytecode and translates each function back into Python; the unfused
+closure tree stays the reference implementation.  Whatever the backend, one measured run must produce the same simulated
 cycles, output checksum, per-table statistics, governor telemetry, and
 ledger verdicts — that differential is what licenses using the (much
 faster) VM for any measurement in this repo.
 
-Three layers of checks:
+Two layers of checks:
 
 * the full sweep — every registered workload at O0/O3 with static and
-  governed tables, closures vs the translate engine, compared on the
-  entire :class:`~repro.runtime.machine.Metrics` dataclass;
-* the dispatch engine on a representative subset (it shares the reuse
-  kernels with the translator, so a thin slice pins the wiring);
+  governed tables, closures vs the VM, compared on the entire
+  :class:`~repro.runtime.machine.Metrics` dataclass (the untransformed
+  sweep lives in ``tests/runtime/test_fusion.py``);
 * opcode-level units — reuse probes/commits are first-class ops in the
   stream, observer ops are emitted only when an observer is installed,
   and the probe/commit protocol hits and bypasses exactly like the
@@ -22,7 +20,6 @@ Three layers of checks:
 """
 
 import copy
-import os
 
 import pytest
 
@@ -38,7 +35,7 @@ from repro.runtime.machine import Machine
 from repro.runtime.vm import compile_vm_program, vm_opcodes as op
 from repro.workloads.registry import ALL_WORKLOADS, get_workload
 
-# Same prefix trick as the fusion/governor differentials: every workload
+# Same prefix trick as the governor differential: every workload
 # polls __input_avail, so a prefix keeps the sweep fast while touching
 # every segment kind.
 _INPUT_PREFIX = 1024
@@ -60,7 +57,7 @@ def _pipeline(workload):
     return _cache[workload.name]
 
 
-def _measure(result, opt_level, inputs, governed, backend, engine=None):
+def _measure(result, opt_level, inputs, governed, backend):
     program = copy.deepcopy(result.program)
     analyze(program)
     optimize(program, opt_level)
@@ -68,17 +65,7 @@ def _measure(result, opt_level, inputs, governed, backend, engine=None):
     machine.set_inputs(list(inputs))
     for seg_id, table in result.build_tables(governed=governed).items():
         machine.install_table(seg_id, table)
-    previous = os.environ.get("REPRO_VM_ENGINE")
-    if engine is not None:
-        os.environ["REPRO_VM_ENGINE"] = engine
-    try:
-        value = compile_program(program, machine).run("main")
-    finally:
-        if engine is not None:
-            if previous is None:
-                del os.environ["REPRO_VM_ENGINE"]
-            else:
-                os.environ["REPRO_VM_ENGINE"] = previous
+    value = compile_program(program, machine).run("main")
     return value, machine.metrics()
 
 
@@ -92,7 +79,7 @@ def _closure_run(workload, opt_level, governed):
     return _closure_cache[key]
 
 
-# -- full sweep: translate engine vs closures --------------------------------
+# -- full sweep: VM vs closures ----------------------------------------------
 
 
 @pytest.mark.parametrize("governed", [False, True], ids=["static", "governed"])
@@ -101,29 +88,10 @@ def _closure_run(workload, opt_level, governed):
 def test_vm_matches_closures(workload, opt_level, governed):
     result, inputs = _pipeline(workload)
     base_value, base_metrics = _closure_run(workload, opt_level, governed)
-    vm_value, vm_metrics = _measure(
-        result, opt_level, inputs, governed, "vm", engine="translate"
-    )
+    vm_value, vm_metrics = _measure(result, opt_level, inputs, governed, "vm")
     assert vm_value == base_value
     # the whole dataclass: cycles, seconds, joules, checksum, per-table
     # TableStats (incl. sampled hit-ratio series), governor snapshots
-    assert vm_metrics == base_metrics
-
-
-# -- dispatch engine: representative slice -----------------------------------
-
-_DISPATCH_SLICE = ("G721_encode", "MPEG2_decode", "RASTA", "GNUGO_drift")
-
-
-@pytest.mark.parametrize("name", _DISPATCH_SLICE)
-def test_dispatch_engine_matches(name):
-    workload = get_workload(name)
-    result, inputs = _pipeline(workload)
-    base_value, base_metrics = _closure_run(workload, "O0", True)
-    vm_value, vm_metrics = _measure(
-        result, "O0", inputs, True, "vm", engine="dispatch"
-    )
-    assert vm_value == base_value
     assert vm_metrics == base_metrics
 
 
@@ -242,14 +210,13 @@ def test_observer_ops_emitted_only_when_observed():
     )
 
 
-@pytest.mark.parametrize("engine", ["translate", "dispatch"])
-def test_probe_protocol_hits_like_closures(engine):
+def test_probe_protocol_hits_like_closures():
     """Same inputs, same tables: the VM's probe/commit kernels must hit,
     miss, and bypass exactly like the closure intrinsics."""
     result = _transformed_result()
     inputs = [3, 9, 3, 17, 9, 3] * 80
     base_value, base_metrics = _measure(result, "O0", inputs, True, "closures")
-    vm_value, vm_metrics = _measure(result, "O0", inputs, True, "vm", engine=engine)
+    vm_value, vm_metrics = _measure(result, "O0", inputs, True, "vm")
     assert vm_value == base_value
     assert vm_metrics == base_metrics
     stats = next(iter(vm_metrics.table_stats.values()))
