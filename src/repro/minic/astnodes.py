@@ -25,8 +25,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (used by generic walkers)."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in _child_slots(type(self))[0]:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, list):
@@ -35,13 +35,44 @@ class Node:
                         yield item
 
 
+# Node class -> (its dataclass field names in declaration order, the same
+# names reversed); filled on first use, so ``children`` and ``walk`` never
+# call ``dataclasses.fields`` on a node.
+_CHILD_SLOTS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+
+def _child_slots(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    slots = _CHILD_SLOTS.get(cls)
+    if slots is None:
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        slots = _CHILD_SLOTS[cls] = (names, names[::-1])
+    return slots
+
+
 def walk(node: Node) -> Iterator[Node]:
-    """Yield ``node`` and all of its descendants, pre-order."""
+    """Yield ``node`` and all of its descendants, pre-order.
+
+    A node's children are read only after it has been yielded, so a
+    consumer may rewrite them before the walk descends.
+    """
     stack = [node]
+    push = stack.append
+    pop = stack.pop
+    slots = _CHILD_SLOTS
     while stack:
-        current = stack.pop()
+        current = pop()
         yield current
-        stack.extend(reversed(list(current.children())))
+        cls = type(current)
+        names = (slots.get(cls) or _child_slots(cls))[1]
+        # push the children last-first, so they pop in ``children`` order
+        for name in names:
+            value = getattr(current, name)
+            if isinstance(value, Node):
+                push(value)
+            elif isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, Node):
+                        push(item)
 
 
 # ---------------------------------------------------------------------------

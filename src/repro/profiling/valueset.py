@@ -17,6 +17,14 @@ For each segment the profiler tracks:
 * inclusive cycles spent inside the segment (between ``__seg_enter`` and
   ``__seg_exit``), giving the *measured* computation granularity C.
 
+The profiler is installed on ``machine.profiler`` before the program is
+compiled.  On the VM that is when it takes effect: the translator binds
+each profiled segment's :class:`SegmentProfile` into the generated code,
+which appends to the key stream and the entry-cycle stack directly.  The
+closure backend calls :meth:`ValueSetProfiler.record`,
+:meth:`~ValueSetProfiler.segment_enter` and
+:meth:`~ValueSetProfiler.segment_exit` at run time instead.
+
 The pipeline runs the profiler once over every candidate segment and
 applies the frequency filter (:mod:`repro.profiling.freq`) to that run's
 execution counts.  A segment's profile does not depend on which other
@@ -99,26 +107,42 @@ class SegmentProfile:
 
 
 class ValueSetProfiler:
-    """The object installed as ``machine.profiler`` during profiling runs."""
+    """The object installed as ``machine.profiler`` during profiling runs.
+
+    It must be installed before ``compile_program``.  The VM binds each
+    instrumented segment's :meth:`site` into its translated code, which
+    then interns keys and times the segment inline.  The closure backend
+    calls the hooks :meth:`record`, :meth:`segment_enter` and
+    :meth:`segment_exit` at run time.  Both fill the same profiles.
+    """
 
     def __init__(
         self, machine: Machine, allowed: Optional[set[int]] = None
     ) -> None:
         self.machine = machine
         self.allowed = allowed
-        self.profiles: dict[int, SegmentProfile] = {}
+        # every segment touched so far: by a hook, by site() or profile()
+        self._sites: dict[int, SegmentProfile] = {}
 
     def _profile(self, seg_id: int) -> SegmentProfile:
-        profile = self.profiles.get(seg_id)
+        profile = self._sites.get(seg_id)
         if profile is None:
             profile = SegmentProfile(seg_id)
-            self.profiles[seg_id] = profile
+            self._sites[seg_id] = profile
         return profile
 
     def _enabled(self, seg_id: int) -> bool:
         return self.allowed is None or seg_id in self.allowed
 
-    # -- hooks called by the runtime intrinsics -----------------------------
+    def site(self, seg_id: int) -> Optional[SegmentProfile]:
+        """The profile a compiled site of ``seg_id`` writes into, or
+        ``None`` when ``allowed`` filters the segment out (the compiler
+        then emits nothing for the site)."""
+        if not self._enabled(seg_id):
+            return None
+        return self._profile(seg_id)
+
+    # -- run-time hooks called by the closure backend's intrinsics -----------
 
     def record(self, seg_id: int, key: tuple) -> None:
         """__profile: one segment execution with its input value set."""
@@ -129,11 +153,14 @@ class ValueSetProfiler:
         profile.key_stream.append(key_ids.setdefault(key, len(key_ids)))
 
     def segment_enter(self, seg_id: int) -> None:
+        """__seg_enter: push the cycle count at entry."""
         if not self._enabled(seg_id):
             return
         self._profile(seg_id)._enter_stack.append(self.machine.cycles)
 
     def segment_exit(self, seg_id: int) -> None:
+        """__seg_exit: pop the entry's cycle count and add the elapsed
+        cycles on the outermost exit only."""
         if not self._enabled(seg_id):
             return
         profile = self._profile(seg_id)
@@ -145,6 +172,13 @@ class ValueSetProfiler:
                 profile.inclusive_cycles += self.machine.cycles - start
 
     # -- results -----------------------------------------------------------------
+
+    @property
+    def profiles(self) -> dict[int, SegmentProfile]:
+        """Profiles of the segments executed at least once.  A site
+        compiled but never reached has no profile here, whichever backend
+        ran the program."""
+        return {seg: p for seg, p in self._sites.items() if p.key_stream}
 
     def profile(self, seg_id: int) -> SegmentProfile:
         return self._profile(seg_id)

@@ -10,13 +10,17 @@ A :class:`Machine` bundles everything one execution needs:
   what the original did);
 * installed reuse tables (segment id -> table), the runtime side of the
   computation-reuse transformation;
-* an optional profiler receiving ``__profile`` / ``__seg_enter`` /
-  ``__seg_exit`` events;
+* an optional value-set profiler
+  (:class:`~repro.profiling.valueset.ValueSetProfiler` on ``profiler``)
+  for the ``__profile`` / ``__seg_enter`` / ``__seg_exit`` stubs.  It
+  must be installed *before* ``compile_program``: the VM binds each
+  profiled segment into its translated code at compile time (the
+  closure backend calls the profiler's hooks at run time);
 * an optional cycle-attribution profiler
   (:class:`~repro.obs.profiler.CycleProfiler` on ``cycle_profiler``).
-  It must be installed *before* ``compile_program``: the compiler emits
-  attribution hooks only when one is present, so an unprofiled run
-  executes exactly the closures it always did.
+  It too must be installed *before* ``compile_program``: the compiler
+  emits attribution hooks only when one is present, so an unprofiled
+  run executes exactly the closures it always did.
 
 A machine outlives one run.  The facade keeps each compiled program's
 machines warm, next to the code compiled against them, and re-arms one
@@ -98,6 +102,8 @@ class Machine:
         self.backend = backend
         self.globals: list = []
         self.reuse_tables: dict[int, object] = {}
+        # value-set profiler (repro.profiling.valueset.ValueSetProfiler);
+        # the VM binds it into translated code at compile time
         self.profiler = None
         # cycle-attribution profiler (repro.obs.profiler.CycleProfiler);
         # consulted at compile time by compile_program/compile_builtin

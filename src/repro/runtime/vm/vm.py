@@ -19,6 +19,14 @@ corresponding closure intrinsic in :mod:`repro.runtime.intrinsics` —
 same bypass protocol, same charge order, same hash-word accounting —
 which is what makes the backends bit-identical on cycles, metrics, and
 ledger verdicts.
+
+Value-set profiling is a translation-time decision, like the cycle
+profiler and the metrics registry: when ``machine.profiler`` is set at
+translation, each profiled segment's ``SegmentProfile`` parts are bound
+into the function's namespace and ``PROFILE``/``SEGE``/``SEGX`` become
+straight-line code that interns the key and times the segment inline.
+Without a profiler, or for a segment its ``allowed`` set filters out,
+those ops emit nothing.
 """
 
 from __future__ import annotations
@@ -31,9 +39,11 @@ from ...errors import InterpError
 from ..costs import ALU, HASH_FIXED, HASH_WORD, RET
 from ..intrinsics import (
     _KIND_AGGREGATE,
+    _KIND_FLOAT,
     _append_words,
     _checked_sqrt,
     _count_words,
+    _flatten_aggregate,
     _resolve_aggregate,
 )
 from ..values import (
@@ -41,6 +51,7 @@ from ..values import (
     c_mod,
     copy_into,
     deep_copy_value,
+    float_bits,
     zero_value,
 )
 from . import vm_opcodes as op
@@ -118,33 +129,6 @@ def k_out_arr(machine, ctr, seg, pos, dest, cls):
     return 0
 
 
-def k_profile(machine, seg, vals, kinds):
-    # Zero-cost stub: the closure snapshots and restores the counters
-    # around argument evaluation; here the fetches never charge at all.
-    profiler = machine.profiler
-    if profiler is None:
-        return 0
-    words: list[int] = []
-    for value, kind in zip(vals, kinds):
-        _append_words(words, value, kind)
-    profiler.record(seg, tuple(words))
-    return 0
-
-
-def k_seg_enter(machine, seg):
-    profiler = machine.profiler
-    if profiler is not None:
-        profiler.segment_enter(seg)
-    return 0
-
-
-def k_seg_exit(machine, seg):
-    profiler = machine.profiler
-    if profiler is not None:
-        profiler.segment_exit(seg)
-    return 0
-
-
 def k_probe_end(machine, prof, seg, r):
     pending_bypassed = getattr(machine.table_for(seg), "pending_bypassed", None)
     prof.probe_end(
@@ -163,6 +147,12 @@ def k_meter_probe(machine, seg, r, counters):
             hits_c.inc()
         else:
             misses_c.inc()
+
+
+def _aggregate_words(value) -> list[int]:
+    words: list[int] = []
+    _flatten_aggregate(words, value)
+    return words
 
 
 def _icall(target):
@@ -405,6 +395,10 @@ class _Translator:
         self._agg: list[tuple[str, tuple]] | None = None
         self._hoists: list[_HoistScope] = []
         self._hn = 0  # hoisted-value name counter
+        # Value-set profiling is bound here, at translation time: each
+        # profiled segment's SegmentProfile parts become namespace entries
+        # that the PROFILE/SEGE/SEGX code writes into directly.
+        self.bindings: dict[str, object] = {}
 
     def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -671,6 +665,41 @@ class _Translator:
         if not srcs:
             return "()"
         return "(" + ", ".join(self._src(m, s) for m, s in srcs) + ",)"
+
+    def value_site(self, seg: int) -> bool:
+        """Bind segment ``seg``'s value profile into the namespace; False
+        when no profiler is installed or it filters the segment out."""
+        profiler = self.vmfn.machine.profiler
+        profile = None if profiler is None else profiler.site(seg)
+        if profile is None:
+            return False
+        self.bindings.update(
+            {
+                f"_vp{seg}": profile,
+                f"_vk{seg}": profile.key_stream,
+                f"_vi{seg}": profile._key_ids,
+                f"_ve{seg}": profile._enter_stack,
+                "_cycles_for": self.vmfn.machine.cost.cycles_for,
+            }
+        )
+        return True
+
+    def _key(self, kinds, srcs) -> str:
+        """A PROFILE site's key tuple, built from its static layout: the
+        words ``_append_words`` gives, with constants folded here."""
+        parts = []
+        for kind, (mode, slot) in zip(kinds, srcs):
+            if mode == op.SRC_CONST:
+                words: list[int] = []
+                _append_words(words, slot, kind)
+                parts.extend(repr(word) for word in words)
+            elif kind == _KIND_AGGREGATE:
+                parts.append(f"*_agg_words({self._src(mode, slot)})")
+            elif kind == _KIND_FLOAT:
+                parts.append(f"_fbits({self._src(mode, slot)})")
+            else:
+                parts.append(f"{self._src(mode, slot)} & 4294967295")
+        return "(" + ", ".join(parts) + ",)" if parts else "()"
 
     def maybe_hoist(self, expr: str, volatile: bool) -> str:
         """Replace a loop-invariant pure operand with a preamble local."""
@@ -956,12 +985,23 @@ class _Translator:
             self.stmt(f"_m.table_for({ins[1]}).finish()")
         elif o == op.PROFILE:
             self.flush()
-            self.w("if _m.profiler is not None:")
-            self.w(f"    _k_profile(_m, {ins[1]}, {self._vals(ins[3])}, {ins[2]!r})")
+            if self.value_site(ins[1]):
+                key = self._key(ins[2], ins[3])
+                ids = f"_vi{ins[1]}"
+                self.w(f"_vk{ins[1]}.append({ids}.setdefault({key}, len({ids})))")
         elif o == op.SEGE:
-            self.stmt(f"_k_seg_enter(_m, {ins[1]})")
+            self.flush()
+            if self.value_site(ins[1]):
+                self.w(f"_ve{ins[1]}.append(_cycles_for(_c))")
         elif o == op.SEGX:
-            self.stmt(f"_k_seg_exit(_m, {ins[1]})")
+            self.flush()
+            if self.value_site(ins[1]):
+                # outermost exit only, so recursion does not double-count
+                stack = f"_ve{ins[1]}"
+                self.w(f"if {stack}:")
+                self.w(f"    _vt = {stack}.pop()")
+                self.w(f"    if not {stack}:")
+                self.w(f"        _vp{ins[1]}.inclusive_cycles += _cycles_for(_c) - _vt")
         elif o == op.PROF_ENTER:
             self.stmt(f"_prof.enter_function({ins[1]!r})")
         elif o == op.PROF_EXIT:
@@ -1017,12 +1057,12 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
         "_k_probe": k_probe,
         "_k_commit": k_commit,
         "_k_out_arr": k_out_arr,
-        "_k_profile": k_profile,
-        "_k_seg_enter": k_seg_enter,
-        "_k_seg_exit": k_seg_exit,
+        "_fbits": float_bits,
+        "_agg_words": _aggregate_words,
         "_k_probe_end": k_probe_end,
         "_k_meter_probe": k_meter_probe,
     }
+    namespace.update(xl.bindings)
     name = f"_vm_{vmfn.name}"
     exec(compile(src, f"<vm:{vmfn.name}>", "exec"), namespace)
     fn = namespace[name]

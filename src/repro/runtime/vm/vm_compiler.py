@@ -13,9 +13,10 @@ Charges are recorded *before* their operand subtrees are compiled, because
 that is when the closures charge (``ctr[cls] += 1`` precedes operand
 evaluation in every ``run_*`` closure).  With calls as flush points this
 reproduces the closure backend's counter state at every observation
-boundary — function entries/exits, reuse intrinsics, and the
-``__seg_enter``/``__seg_exit`` stubs the value-set profiler reads cycles
-at — bit-for-bit.
+boundary — function entries/exits, reuse intrinsics, and the ``SEGE``/
+``SEGX`` sites (``__seg_enter``/``__seg_exit``) where the translated code
+reads cycles for the value-set profiler bound into it at compile time —
+bit-for-bit.
 
 Control flow is emitted under a structural discipline so the translation
 engine (:mod:`repro.runtime.vm.vm`) can rebuild native Python loops
@@ -903,10 +904,14 @@ class _FnCompiler:
 
         if name == "__profile":
             seg = _segment_id(args, name)
+            self.flush()
             descs = [self._descriptor(a, name) for a in args[1:]]
+            # The stub is zero-cost: drop what eagerly evaluated arguments
+            # charged, as the closure restores its counter snapshot.
+            self.pending.clear()
+            self.pending_lines.clear()
             kinds = tuple(kind for _, _, kind, _ in descs)
             srcs = tuple((mode, slot) for mode, slot, _, _ in descs)
-            self.flush()
             self.emit(op.PROFILE, seg, kinds, srcs)
             return self.newtmp()
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InterpError
 from repro.minic import frontend
+from repro.profiling import ValueSetProfiler
 from repro.runtime import Machine, ReuseTable, compile_program
 
 from tests.support import run_plain
@@ -410,17 +411,10 @@ class TestReuseIntrinsics:
         }
         """
 
-        class Recorder:
-            def __init__(self):
-                self.events = []
-
-            def record(self, seg, key):
-                self.events.append((seg, key))
-
         program = frontend(src)
         machine_with = Machine("O0")
-        rec = Recorder()
-        machine_with.profiler = rec
+        profiler = ValueSetProfiler(machine_with)
+        machine_with.profiler = profiler
         compiled = compile_program(program, machine_with)
         compiled.run("main")
         cycles_with = machine_with.cycles
@@ -429,5 +423,7 @@ class TestReuseIntrinsics:
         compiled2 = compile_program(program, machine_without)
         compiled2.run("main")
 
-        assert [e[1] for e in rec.events] == [(0,), (1,), (0,), (1,)]
+        profile = profiler.profile(3)
+        keys = list(profile._key_ids)
+        assert [keys[key_id] for key_id in profile.key_stream] == [(0,), (1,), (0,), (1,)]
         assert cycles_with == machine_without.cycles
