@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..runtime.jenkins import hash_key_words
+from ..runtime.hashtable import pow2_ceil
+from ..runtime.jenkins import hash_key_batch
 from ..runtime.values import wrap32
 from ..workloads.base import Workload
 from ..workloads.registry import PRIMARY_WORKLOADS, get_workload
@@ -72,13 +73,12 @@ def accessed_entry_histogram(
     segment = runner.headline_segment(workload)
     result = runner.pipeline(workload)
     spec = next(s for s in result.table_specs if s.segment_id == segment.seg_id)
-    capacity = 1
-    while capacity < spec.capacity:
-        capacity <<= 1
+    capacity = pow2_ceil(spec.capacity)
     mask = capacity - 1
+    keys, key_counts = profile.key_counts()
     counts_by_entry: dict[int, int] = {}
-    for key, count in profile.value_counts.items():
-        entry = hash_key_words(key) & mask
+    for hashed, count in zip(hash_key_batch(keys), key_counts):
+        entry = hashed & mask
         counts_by_entry[entry] = counts_by_entry.get(entry, 0) + count
     width = max(1, capacity // n_bins)
     counts = [0] * n_bins

@@ -64,12 +64,18 @@ class SegmentProfile:
     def distinct_inputs(self) -> int:
         return len(self._key_ids)
 
+    def key_counts(self) -> tuple[list[tuple], list[int]]:
+        """The distinct input sets in first-seen order, and the executions
+        of each (counted from the stream on every call)."""
+        per_id = Counter(self.key_stream)
+        return list(self._key_ids), [per_id[i] for i in self._key_ids.values()]
+
     @property
     def value_counts(self) -> Counter:
         """Executions per distinct input set, in first-seen order (counted
         from the stream on every call)."""
-        per_id = Counter(self.key_stream)
-        return Counter({key: per_id[key_id] for key, key_id in self._key_ids.items()})
+        keys, counts = self.key_counts()
+        return Counter(dict(zip(keys, counts)))
 
     @property
     def reuse_rate(self) -> float:

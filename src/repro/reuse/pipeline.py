@@ -53,6 +53,7 @@ from ..runtime.hashtable import (
     ReuseTable,
     pow2_ceil as _pow2,
 )
+from ..runtime.jenkins import hash_key_batch
 from ..runtime.machine import Machine
 from . import cost_model
 from .granularity import GranularityAnalysis
@@ -571,12 +572,11 @@ def _collision_adjusted_rate(profile: SegmentProfile, capacity: int) -> float:
     """
     if profile.executions == 0:
         return 0.0
-    from ..runtime.jenkins import hash_key_words
-
     mask = _pow2(max(1, capacity)) - 1
+    keys, counts = profile.key_counts()
     dominant: dict[int, int] = {}
-    for key, count in profile.value_counts.items():
-        entry = hash_key_words(key) & mask
+    for hashed, count in zip(hash_key_batch(keys), counts):
+        entry = hashed & mask
         if count > dominant.get(entry, 0):
             dominant[entry] = count
     hits = sum(count - 1 for count in dominant.values())

@@ -25,6 +25,8 @@ from repro.experiments import (
     table5,
     table10,
 )
+from repro.runtime.hashtable import pow2_ceil
+from repro.runtime.jenkins import hash_key_words
 from repro.workloads.base import PaperNumbers, Workload
 
 _SOURCE = """
@@ -66,6 +68,47 @@ TINY = Workload(
     alternate_label="alt",
     key_function="classify",
     description="test workload",
+    paper=PaperNumbers(speedup_o0=1.5, speedup_o3=1.4, lru_hits=(0.1, 0.2, 0.3, 0.4)),
+    min_executions=16,
+)
+
+
+# a two-word key, so the histogram goes through Jenkins' function
+_PAIR_SOURCE = """
+static int mix(int a, int b) {
+    int r = 0;
+    int i;
+    for (i = 0; i < 8; i++)
+        r += ((a >> (i & 3)) & 15) * (i + 1) + b % (i + 3);
+    return r;
+}
+
+int main(void) {
+    int acc = 0;
+    while (__input_avail()) {
+        int a = __input_int();
+        int b = __input_int();
+        acc += mix(a, b);
+        __output_int(acc & 255);
+    }
+    __output_int(acc);
+    return acc;
+}
+"""
+
+
+def _pair_inputs():
+    return [3, 8, 21, 3, 8, 21, 40, 3, 8, 5, 77, 6] * 40
+
+
+PAIR = Workload(
+    name="PAIR",
+    source=_PAIR_SOURCE,
+    default_inputs=_pair_inputs,
+    alternate_inputs=_pair_inputs,
+    alternate_label="same",
+    key_function="mix",
+    description="test workload with a two-word key",
     paper=PaperNumbers(speedup_o0=1.5, speedup_o3=1.4, lru_hits=(0.1, 0.2, 0.3, 0.4)),
     min_executions=16,
 )
@@ -164,6 +207,24 @@ class TestFigures:
     def test_accessed_entry_histogram(self, runner):
         hist = accessed_entry_histogram(runner, TINY, n_bins=8)
         assert hist.total == len(_default_inputs())
+
+    @pytest.mark.parametrize("workload", [TINY, PAIR], ids=lambda w: w.name)
+    def test_accessed_entry_histogram_matches_scalar_hash(self, runner, workload):
+        hist = accessed_entry_histogram(runner, workload, n_bins=8)
+        profile = runner.headline_profile(workload)
+        segment = runner.headline_segment(workload)
+        spec = next(
+            s
+            for s in runner.pipeline(workload).table_specs
+            if s.segment_id == segment.seg_id
+        )
+        capacity = pow2_ceil(spec.capacity)
+        width = max(1, capacity // 8)
+        counts = [0] * 8
+        for key, count in profile.value_counts.items():
+            entry = hash_key_words(key) & (capacity - 1)
+            counts[min(7, entry // width)] += count
+        assert [count for _, count in hist.bins] == counts
 
     def test_pattern_access_histogram(self, runner):
         hist = pattern_access_histogram(runner, TINY)
