@@ -46,12 +46,7 @@ from typing import Optional, Sequence, Union
 from .errors import ConfigError
 from .minic import format_program, frontend
 from .obs import DecisionLedger, Tracer, get_tracer, set_tracer
-from .obs.metrics import (
-    ExpositionServer,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
+from .obs.metrics import MetricsRegistry, get_registry, set_registry
 from .obs.profiler import CycleProfile, CycleProfiler, ledger_costs
 from .opt.pipeline import optimize
 from .reuse.pipeline import PipelineConfig, PipelineResult, ReusePipeline
@@ -530,9 +525,6 @@ class CompiledProgram:
             # be joined with probe/commit sites and per-pc bytecode lines
             source_map = SourceMap()
             machine.source_map = source_map
-        # likewise a compile-time decision: without a registry the closures
-        # are byte-identical to un-metered ones
-        machine.metrics_registry = self.registry
         with self._traced():
             # the ambient tracer — the program's own (installed by
             # _traced) or a service request's thread-local one — gets a
@@ -562,7 +554,8 @@ class CompiledProgram:
                 metrics = machine.metrics()
                 if span is not None:
                     self._annotate_run_span(span, metrics, tables)
-        machine.publish_metrics()
+        if self.registry is not None:
+            machine.publish_metrics(self.registry)
         if self.governed:
             self._record_governor_verdicts(metrics)
         if not self.profiled:
@@ -665,9 +658,10 @@ def compile(
         metrics: publish live metrics into a
             :class:`~repro.obs.metrics.MetricsRegistry` — ``True`` for a
             fresh registry (on :attr:`CompiledProgram.registry`), or pass
-            a registry shared across programs.  The metered closures
-            exist only when a registry is installed, so an un-metered
-            program's metrics stay bit-identical.  Kept out of
+            a registry shared across programs.  Each run publishes
+            once, after it ends, from the machine's and tables' own
+            tallies, so a metered program compiles and runs exactly
+            like an un-metered one.  Kept out of
             :class:`CompileOptions` because a registry is live shared
             state, not a compile-time constant.
     """
@@ -693,10 +687,10 @@ class Session:
     harness's.
 
     Lifecycle: usable as a context manager.  :meth:`close` is
-    idempotent — it stops the metrics endpoint (if one was started) and
-    drops every memoized program with its tables and warm executables;
-    a closed session rejects further compiles and runs, so pools can
-    recycle sessions without leaking the exposition thread.
+    idempotent — it drops every memoized program with its tables and
+    warm executables; a closed session rejects further compiles and
+    runs.  A metered session's registry is read directly
+    (:attr:`registry`) or served by ``repro serve`` at ``GET /metrics``.
     :meth:`evict` releases one program; :meth:`run_program` runs a
     session-compiled program while keeping the session's
     latency/throughput metrics flowing — the entry points the
@@ -718,7 +712,6 @@ class Session:
         self.trace = self.options.trace
         self.cache = self._resolve_cache(cache)
         self.registry: Optional[MetricsRegistry] = _resolve_metrics(metrics)
-        self._server: Optional[ExpositionServer] = None
         self._programs: dict[tuple, CompiledProgram] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -826,32 +819,12 @@ class Session:
         self._check_open("run()")
         return self.run_program(self.compile(source), inputs)
 
-    def serve_metrics(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> ExpositionServer:
-        """Start (or return) the background OpenMetrics HTTP endpoint
-        serving this session's registry; requires ``metrics=``.  The
-        server binds an ephemeral port for ``port=0`` (read the real one
-        from ``.port``), runs as a daemon thread, and is stopped —
-        idempotently — by :meth:`close`."""
-        self._check_open("serve_metrics()")
-        if self.registry is None:
-            raise ConfigError("serve_metrics() on a Session without metrics=")
-        if self._server is None:
-            self._server = ExpositionServer(self.registry, host=host, port=port)
-            self._server.start()
-        return self._server
-
     def close(self) -> None:
-        """Stop the metrics endpoint and drop every memoized program, with
-        its warm executables.  Idempotent: closing twice (or closing a
-        session that never served metrics) is a no-op."""
+        """Drop every memoized program, with its warm executables.
+        Idempotent: closing twice is a no-op."""
         if self._closed:
             return
         self._closed = True
-        if self._server is not None:
-            self._server.close()
-            self._server = None
         with self._lock:
             programs = list(self._programs.values())
             self._programs.clear()

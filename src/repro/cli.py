@@ -13,7 +13,6 @@
     python -m repro perf record --workload UNEPIC --update-baseline
     python -m repro perf report GNUGO --flamegraph gnugo.folded
     python -m repro perf check --baseline PERF_BASELINE.json
-    python -m repro perf check --anomaly --report-only
     python -m repro dash --workload UNEPIC --out repro-dash.html
     python -m repro report --table 6 --workload G721_encode --workload RASTA
     python -m repro report --figure 14 --workload UNEPIC
@@ -35,11 +34,10 @@ HTML page; ``disasm`` dumps the VM bytecode interleaved with the
 source lines it compiled from; ``perf`` records
 cycle-attribution profiles into the append-only perf store, renders the
 measured-vs-ledger report, and gates CI against a committed baseline
-(``check`` exits non-zero on any cycle or checksum regression;
-``check --anomaly`` judges against the store's own history instead, so
-no baseline needs committing); ``dash`` renders the whole observability
-surface — live metrics registry, ledger verdicts, attribution trees,
-perf trends, anomaly flags — into one static HTML file; ``report``
+(``check`` exits non-zero on any cycle or checksum regression);
+``dash`` renders the whole observability surface — metrics registry,
+ledger verdicts, attribution trees, perf trends — into one static HTML
+file; ``report``
 regenerates any of the paper's tables/figures for a subset of
 workloads; ``serve`` starts the multi-tenant compile-and-run HTTP
 service (:mod:`repro.service`) and ``loadgen`` load-tests it —
@@ -382,8 +380,6 @@ def cmd_perf_check(args) -> int:
     from .experiments.perf import check_workloads
     from .obs.perfdb import PerfDB
 
-    if args.anomaly:
-        return _perf_check_anomaly(args)
     db = PerfDB(args.db) if args.record else None
     regressions, rows = check_workloads(
         args.baseline, workloads=args.workload or None, db=db
@@ -405,45 +401,6 @@ def cmd_perf_check(args) -> int:
     return 0
 
 
-def _perf_check_anomaly(args) -> int:
-    """The baseline-free gate: judge fresh measurements against the perf
-    store's own history (EWMA/MAD drift + changepoints).  Same exit
-    contract as the baseline gate — 0 clean, 1 regression, 2 nothing to
-    judge — except ``--report-only`` prints the verdict and exits 0."""
-    from .experiments.perf import anomaly_check_workloads
-    from .obs.anomaly import AnomalyPolicy
-    from .obs.perfdb import PerfDB
-
-    db = PerfDB(args.db)
-    policy = AnomalyPolicy(min_history=args.min_history)
-    anomalies, rows = anomaly_check_workloads(
-        db, workloads=args.workload or None, policy=policy, record=args.record
-    )
-    for row in rows:
-        print(
-            f"measured {row['workload']}@{row['opt']}@{row['variant']}: "
-            f"{row['cycles']} cycles, checksum {row['output_checksum']:#010x}"
-        )
-    if not rows:
-        print("perf store has no history for the selected workloads", file=sys.stderr)
-        code = 2
-    else:
-        regressions = [a for a in anomalies if a.regression]
-        for anomaly in anomalies:
-            marker = "FAIL" if anomaly.regression else "note"
-            print(f"  {marker} {anomaly.describe()}")
-        if regressions:
-            print(f"\n{len(regressions)} anomalous regression(s) against history")
-            code = 1
-        else:
-            print(f"\nOK: {len(rows)} row(s) consistent with history")
-            code = 0
-    if args.report_only:
-        print(f"report-only: would exit {code}")
-        return 0
-    return code
-
-
 def _default_perf_workloads() -> list[str]:
     # the two representative workloads the CI gate measures: one loop
     # segment (UNEPIC) and one function segment workload (GNU Go)
@@ -452,8 +409,7 @@ def _default_perf_workloads() -> list[str]:
 
 def cmd_dash(args) -> int:
     """Build the static-HTML dashboard: fresh measurements, aggregated
-    metrics registry, perf-store trends, and history anomaly verdicts in
-    one self-contained file."""
+    metrics registry and perf-store trends in one self-contained file."""
     import datetime
     import json
     import os
@@ -872,19 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also append the measured rows to the perf store",
     )
     p_chk.add_argument("--db", default=".repro_perf", help="perf store directory")
-    p_chk.add_argument(
-        "--anomaly", action="store_true",
-        help="judge against the perf store's own history instead of a "
-        "committed baseline (EWMA/MAD drift + changepoint detection)",
-    )
-    p_chk.add_argument(
-        "--report-only", action="store_true",
-        help="with --anomaly: print the verdict but always exit 0",
-    )
-    p_chk.add_argument(
-        "--min-history", type=int, default=4,
-        help="with --anomaly: minimum stored runs before judging a configuration",
-    )
     p_chk.set_defaults(func=cmd_perf_check)
 
     p_dash = sub.add_parser(

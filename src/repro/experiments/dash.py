@@ -5,8 +5,7 @@ input.  One shared :class:`~repro.obs.metrics.MetricsRegistry` rides
 along through every :func:`~repro.experiments.perf.measure_workload`
 call, so the embedded OpenMetrics exposition aggregates the whole
 dashboard build (per-segment probe counters sum across workloads); the
-perf store supplies the trend history and the anomaly detector judges
-each fresh measurement against it.
+perf store supplies the trend history.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import time
 from typing import Optional, Sequence
 
 from .. import api
-from ..obs.anomaly import AnomalyPolicy, detect_row_anomalies
 from ..obs.annotate import build_annotation, render_fragment
 from ..obs.dash import DashData, WorkloadPanel, render_dashboard
 from ..obs.metrics import MetricsRegistry
@@ -77,7 +75,6 @@ def _panel(
     variant: str,
     registry: MetricsRegistry,
     db: Optional[PerfDB],
-    policy: AnomalyPolicy,
 ) -> WorkloadPanel:
     history = db.rows(name, opt, variant) if db is not None else []
     started = time.perf_counter()
@@ -87,7 +84,6 @@ def _panel(
         "Per-run wall-clock seconds.",
         buckets=_RUN_SECONDS_BUCKETS,
     ).observe(time.perf_counter() - started)
-    anomalies = detect_row_anomalies(history, row, policy) if history else []
     profile = result.profile()
     metrics = result.metrics
     ledger_text = result.ledger.render() if result.ledger is not None else ""
@@ -107,7 +103,6 @@ def _panel(
         profile_text=profile.render(max_depth=4),
         history_text=render_perf_history(history + [row]) if history else "",
         annotate_html=_annotate_fragment(name, opt) if variant == "static" else "",
-        anomalies=[a.describe() for a in anomalies],
     )
 
 
@@ -116,7 +111,6 @@ def collect_dashboard(
     opts: Sequence[str] = ("O0",),
     variants: Sequence[str] = ("static",),
     db: Optional[PerfDB] = None,
-    policy: Optional[AnomalyPolicy] = None,
     title: str = "repro dashboard",
     generated: str = "",
     service_bench: Optional[dict] = None,
@@ -128,10 +122,9 @@ def collect_dashboard(
     module so the collector stays deterministic and testable);
     ``service_bench`` is an optional parsed ``BENCH_service.json``
     report to embed as the service load-test block."""
-    policy = policy or AnomalyPolicy()
     registry = MetricsRegistry()
     panels = [
-        _panel(name, opt, variant, registry, db, policy)
+        _panel(name, opt, variant, registry, db)
         for name in workloads
         for opt in opts
         for variant in variants
@@ -154,7 +147,6 @@ def write_dashboard(
     opts: Sequence[str] = ("O0",),
     variants: Sequence[str] = ("static",),
     db: Optional[PerfDB] = None,
-    policy: Optional[AnomalyPolicy] = None,
     title: str = "repro dashboard",
     generated: str = "",
     service_bench: Optional[dict] = None,
@@ -165,7 +157,6 @@ def write_dashboard(
         opts=opts,
         variants=variants,
         db=db,
-        policy=policy,
         title=title,
         generated=generated,
         service_bench=service_bench,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .. import api
-from ..obs.anomaly import Anomaly, AnomalyPolicy, detect_row_anomalies
 from ..obs.perfdb import PerfDB, Regression, check_rows, git_revision, load_baseline
 from ..obs.profiler import CycleProfile
 from ..workloads import get_workload
@@ -146,44 +145,6 @@ def check_workloads(
             row = db.append(row)
         rows.append(row)
     return check_rows(rows, baseline, require_all=workloads is None), rows
-
-
-def anomaly_check_workloads(
-    db: PerfDB,
-    workloads: Optional[Sequence[str]] = None,
-    policy: Optional[AnomalyPolicy] = None,
-    record: bool = False,
-) -> tuple[list[Anomaly], list[dict]]:
-    """The baseline-free gate behind ``repro perf check --anomaly``.
-
-    Measures every configuration the store has history for (optionally
-    restricted to a workload subset), judges each fresh row against its
-    own history with :func:`~repro.obs.anomaly.detect_row_anomalies`,
-    and — with ``record=True`` — appends the fresh rows so the history
-    keeps growing.  Returns ``(anomalies, measured rows)``; an empty
-    rows list means the store had nothing to judge (exit code 2 in the
-    CLI, mirroring the baseline gate's contract).
-    """
-    policy = policy or AnomalyPolicy()
-    keys = sorted(
-        {
-            (r["workload"], r["opt"], r["variant"])
-            for r in db.rows()
-            if "workload" in r and "opt" in r and "variant" in r
-        }
-    )
-    anomalies: list[Anomaly] = []
-    measured: list[dict] = []
-    for name, opt, variant in keys:
-        if workloads is not None and name not in workloads:
-            continue
-        history = db.rows(name, opt, variant)
-        row, _ = measure_workload(name, opt, variant)
-        anomalies.extend(detect_row_anomalies(history, row, policy))
-        if record:
-            row = db.append(row)
-        measured.append(row)
-    return anomalies, measured
 
 
 def profile_for(name: str, opt: str = "O0", variant: str = "static") -> CycleProfile:

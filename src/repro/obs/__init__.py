@@ -10,14 +10,12 @@ Zero-dependency and off by default.  Three pillars:
   behind each decision.
 * Exporters (:mod:`repro.obs.export`) — JSONL and Chrome
   ``chrome://tracing`` trace-event formats.
-* :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — live Counter /
-  Gauge / Histogram families with OpenMetrics exposition and an opt-in
-  HTTP endpoint; published by the runtime only when installed.
+* :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — Counter /
+  Gauge / Histogram families with OpenMetrics exposition; each run
+  publishes into one only when the program is metered.
 * :class:`EventLog` (:mod:`repro.obs.log`) — leveled, rate-limited,
   ring-buffered structured JSONL records with trace/span ids stamped on
   every record; ``None`` by default so un-logged runs pay nothing.
-* :mod:`repro.obs.anomaly` — baseline-free EWMA/MAD drift and
-  changepoint detection over the perf store's history.
 * :mod:`repro.obs.dash` — the deterministic static-HTML dashboard
   renderer behind ``repro dash`` (series glyphs shared via
   :mod:`repro.obs.render`).
@@ -51,18 +49,11 @@ from .profiler import (
 )
 from .perfdb import PerfDB, Regression, baseline_key, check_rows, load_baseline, write_baseline
 from .metrics import (
-    ExpositionServer,
     MetricsRegistry,
     get_registry,
     parse_openmetrics,
     render_openmetrics,
     set_registry,
-)
-from .anomaly import (
-    Anomaly,
-    AnomalyPolicy,
-    detect_row_anomalies,
-    detect_store_anomalies,
 )
 from .render import render_hit_ratio_series, render_perf_history, sparkline
 from .dash import DashData, WorkloadPanel, render_dashboard
@@ -98,16 +89,11 @@ __all__ = [
     "check_rows",
     "load_baseline",
     "write_baseline",
-    "ExpositionServer",
     "MetricsRegistry",
     "get_registry",
     "parse_openmetrics",
     "render_openmetrics",
     "set_registry",
-    "Anomaly",
-    "AnomalyPolicy",
-    "detect_row_anomalies",
-    "detect_store_anomalies",
     "render_hit_ratio_series",
     "render_perf_history",
     "sparkline",

@@ -3,8 +3,8 @@
 One self-contained HTML file aggregating everything the observability
 layer knows about a set of workload runs: the live metrics registry
 (as an embedded OpenMetrics exposition), the decision ledger's verdicts,
-the cycle-attribution tree, the perf store's trend sparklines, and any
-history anomalies.  The renderer is *pure* — :func:`render_dashboard`
+the cycle-attribution tree and the perf store's trend sparklines.  The
+renderer is *pure* — :func:`render_dashboard`
 maps a :class:`DashData` value to a string, with no clocks, no I/O and
 no iteration-order dependence — so the output is golden-file pinned
 (``tests/obs/test_dash.py``); :mod:`repro.experiments.dash` does the
@@ -46,7 +46,6 @@ class WorkloadPanel:
     profile_text: str = ""        # cycle attribution tree
     history_text: str = ""        # perf-store trend (sparkline)
     annotate_html: str = ""       # annotated-source fragment (pre-rendered HTML)
-    anomalies: list[str] = field(default_factory=list)  # described anomalies
 
 
 @dataclass
@@ -74,9 +73,6 @@ table.summary th, table.summary td { border: 1px solid #bbb; padding: .3rem .6re
 table.summary th { background: #eee; }
 pre { background: #fff; border: 1px solid #ddd; padding: .6rem; overflow-x: auto;
       font-size: .8rem; line-height: 1.25; }
-.anomaly { color: #b00020; font-weight: 600; }
-.improvement { color: #1b5e20; font-weight: 600; }
-.ok { color: #1b5e20; }
 .meta { color: #666; font-size: .8rem; }
 details > summary { cursor: pointer; font-weight: 600; margin-top: 1.5rem; }
 details.annotate > summary { margin-top: .6rem; font-weight: 600; }
@@ -92,16 +88,6 @@ def _pre_block(title: str, text: str) -> list[str]:
     if not text:
         return []
     return [f"<h3>{_e(title)}</h3>", f"<pre>{_e(text)}</pre>"]
-
-
-def _anomaly_lines(panel: WorkloadPanel) -> list[str]:
-    if not panel.anomalies:
-        return ['<p class="ok">No history anomalies.</p>']
-    out = []
-    for line in panel.anomalies:
-        css = "anomaly" if "REGRESSION" in line else "improvement"
-        out.append(f'<p class="{css}">{_e(line)}</p>')
-    return out
 
 
 def render_dashboard(data: DashData) -> str:
@@ -124,14 +110,6 @@ def render_dashboard(data: DashData) -> str:
     # summary table over all panels
     rows = []
     for panel in data.panels:
-        if panel.anomalies:
-            regressions = sum("REGRESSION" in a for a in panel.anomalies)
-            if regressions:
-                status = f'<span class="anomaly">{regressions} regression(s)</span>'
-            else:
-                status = '<span class="improvement">improved</span>'
-        else:
-            status = '<span class="ok">ok</span>'
         rows.append(
             "<tr>"
             f'<td><a href="#{_e(panel.key)}">{_e(panel.key)}</a></td>'
@@ -139,20 +117,18 @@ def render_dashboard(data: DashData) -> str:
             f"<td>{panel.seconds:.6f}</td>"
             f"<td>{panel.energy_joules:.4f}</td>"
             f"<td>{panel.output_checksum:#010x}</td>"
-            f"<td>{status}</td>"
             "</tr>"
         )
     parts.append('<table class="summary">')
     parts.append(
         "<tr><th>Configuration</th><th>Cycles</th><th>Seconds</th>"
-        "<th>Joules</th><th>Checksum</th><th>History</th></tr>"
+        "<th>Joules</th><th>Checksum</th></tr>"
     )
     parts.extend(rows)
     parts.append("</table>")
 
     for panel in data.panels:
         parts.append(f'<h2 id="{_e(panel.key)}">{_e(panel.key)}</h2>')
-        parts.extend(_anomaly_lines(panel))
         parts.extend(_pre_block("Perf-store trend", panel.history_text))
         parts.extend(_pre_block("Reuse-table telemetry", panel.table_text))
         parts.extend(_pre_block("Hit-ratio series", panel.hit_ratio_text))

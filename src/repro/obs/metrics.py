@@ -7,33 +7,31 @@ A :class:`MetricsRegistry` holds named metric families — Counter, Gauge,
 Histogram — each fanning out into labeled children, and the runtime
 publishes into it from three places:
 
-* the :class:`~repro.runtime.machine.Machine` and the reuse intrinsics
-  (probes/hits/misses/bypasses per segment, op tallies, cycles);
+* the :class:`~repro.runtime.machine.Machine`, once per run
+  (probes/hits/misses/collisions/evictions/bypasses per segment, op
+  tallies, cycles);
 * the :class:`~repro.runtime.governor.SegmentGovernor` (state
   transitions, windowed gain — the live view of R·C−O);
 * the :class:`~repro.api.Session` facade (runs, wall time, inputs).
 
 Design constraints, mirroring the rest of :mod:`repro.obs`:
 
-1. **No registry, no cost.**  Like the cycle profiler, the metered
-   closures are a *compile-time* decision: ``compile_program`` consults
-   ``machine.metrics_registry`` and emits the counting wrappers only
-   when one is installed, so an un-metered run executes byte-identical
-   closures (enforced by ``tests/obs/test_metrics_differential.py``).
-2. **Zero dependencies.**  The exposition endpoint is a stdlib
-   ``http.server`` thread; the text format is OpenMetrics, hand-rolled
+1. **No registry, no cost.**  Metrics are no compile-time observer: a
+   metered program's closures and bytecode are those of an un-metered
+   one.  After a run ends, :meth:`~repro.runtime.machine.Machine.publish_metrics`
+   copies the tallies the machine and its reuse tables already keep;
+   lifetime table and governor counters go in by their growth since the
+   table last published, so every probe is counted exactly once
+   (enforced by ``tests/obs/test_metrics_differential.py``).
+2. **Zero dependencies.**  The text format is OpenMetrics, hand-rolled
    and round-trip tested (:func:`render_openmetrics` /
-   :func:`parse_openmetrics`).
-3. **Atomic snapshots.**  Writers are lock-free on the hot path (plain
-   attribute adds under the GIL); :meth:`MetricsRegistry.snapshot` takes
-   the registry lock only to produce a consistent plain-dict copy, and
+   :func:`parse_openmetrics`); ``repro serve`` serves it at
+   ``GET /metrics``.
+3. **Atomic snapshots.**  Counter increments take a per-child lock, so
+   concurrent publishers never lose an update; :meth:`MetricsRegistry.snapshot`
+   takes the registry lock only to produce a consistent plain-dict copy, and
    :meth:`MetricsRegistry.delta_since` diffs two snapshots for
    incremental shipping.
-
-Counter children additionally support :meth:`CounterChild.advance_to`,
-a monotone raise-to-total: end-of-run publication from lifetime table
-statistics and live per-probe increments land on the *same* counters
-without double counting (whichever view saw more probes wins).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "CounterChild",
     "GaugeChild",
     "HistogramChild",
-    "ExpositionServer",
     "OPENMETRICS_CONTENT_TYPE",
     "render_openmetrics",
     "parse_openmetrics",
@@ -84,26 +81,21 @@ def _check_name(name: str) -> str:
 
 
 class CounterChild:
-    """One labeled monotone counter."""
+    """One labeled monotone counter.  Increments hold a lock: runs that
+    end on different threads publish into the same children."""
 
-    __slots__ = ("labels", "value")
+    __slots__ = ("labels", "value", "_lock")
 
     def __init__(self, labels: dict) -> None:
         self.labels = labels
         self.value = 0
+        self._lock = threading.Lock()
 
     def inc(self, amount=1) -> None:
         if amount < 0:
             raise ConfigError(f"counter increment must be >= 0, got {amount}")
-        self.value += amount
-
-    def advance_to(self, total) -> None:
-        """Raise the counter to ``total`` if it is below it (no-op
-        otherwise).  Lets end-of-run totals and live increments coexist
-        on one counter: publishing a lifetime total over counts already
-        streamed in never double-counts and never goes backwards."""
-        if total > self.value:
-            self.value = total
+        with self._lock:
+            self.value += amount
 
 
 class GaugeChild:
@@ -206,9 +198,6 @@ class Counter(_Family):
 
     def inc(self, amount=1) -> None:
         self._solo().inc(amount)
-
-    def advance_to(self, total) -> None:
-        self._solo().advance_to(total)
 
 
 class Gauge(_Family):
@@ -655,84 +644,3 @@ def set_registry(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistr
     previous = _registry
     _registry = registry
     return previous
-
-
-# -- HTTP exposition ---------------------------------------------------------
-
-
-class ExpositionServer:
-    """Opt-in background OpenMetrics endpoint for long-running sessions.
-
-    A daemon thread runs a stdlib ``ThreadingHTTPServer`` serving
-    ``GET /metrics`` (and ``/``) straight from the registry; ``port=0``
-    binds an ephemeral port (read it back from :attr:`port`).  Usable as
-    a context manager; :meth:`close` shuts the thread down."""
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        self.registry = registry
-
-        outer = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:
-                if self.path.split("?")[0] in ("/metrics", "/"):
-                    body = outer.registry.render_openmetrics().encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                else:
-                    self.send_response(404)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-
-            def log_message(self, *_args) -> None:  # silence stderr
-                pass
-
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self.host = self._httpd.server_address[0]
-        self.port = self._httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def start(self) -> "ExpositionServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="repro-metrics-exposition",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop the serving thread and release the socket.  Idempotent:
-        session pools may close an already-closed server when recycling."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "ExpositionServer":
-        return self.start()
-
-    def __exit__(self, *_exc) -> bool:
-        self.close()
-        return False

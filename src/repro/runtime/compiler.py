@@ -96,20 +96,6 @@ class CompiledFunction:
                 finally:
                     profiler.exit_function()
 
-        # Same gating for the live metrics registry: the call counter is
-        # compiled in only when a registry is installed, with its labeled
-        # child resolved once per function.
-        registry = self._machine.metrics_registry
-        if registry is not None:
-            calls = registry.counter(
-                "repro_function_calls", "Function body invocations."
-            ).labels(function=self.name)
-            inner = body
-
-            def body(frame, inner=inner, calls=calls):
-                calls.inc()
-                return inner(frame)
-
         self._body = body
         self._ctr = self._machine.counters
 

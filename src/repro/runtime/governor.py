@@ -60,6 +60,7 @@ from ..obs.metrics import get_registry
 from .hashtable import (
     _BYPASSED,
     SAMPLE_BUDGET,
+    STAT_COUNTERS,
     MergedReuseTable,
     MergedTableView,
     ReuseTable,
@@ -79,6 +80,10 @@ __all__ = [
 ACTIVE = "active"
 DISABLED = "disabled"
 PROBING = "probing"
+
+# SegmentGovernor's lifetime counters, published to metrics registries by
+# growth through the governed table's publish cursor
+GOVERNOR_COUNTERS = ("disables", "reenables", "resizes", "flushes", "bypassed_executions")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -434,6 +439,12 @@ class GovernedReuseTable(ReuseTable):
             self._pending.stack.pop()
             self._apply_resize_if_idle()
 
+    def take_unpublished(self) -> dict:
+        with self._lock:
+            grown = self._take_grown("stats", self.stats, STAT_COUNTERS)
+            grown.update(self._take_grown("governor", self.governor, GOVERNOR_COUNTERS))
+            return grown
+
     # -- growth / flush -----------------------------------------------------
 
     def _request_growth(self) -> None:
@@ -534,6 +545,19 @@ class GovernedMergedReuseTable(MergedReuseTable):
         with self._lock:
             self._pending.stack.pop()
             self._apply_resize_if_idle()
+
+    def _take_unpublished(self, member: int) -> dict:
+        segment = self.members[member]
+        with self._lock:
+            grown = self._take_grown(
+                ("stats", segment), self.stats_per_member[segment], STAT_COUNTERS
+            )
+            grown.update(
+                self._take_grown(
+                    ("governor", segment), self.governors[segment], GOVERNOR_COUNTERS
+                )
+            )
+            return grown
 
     # -- governed probe path -------------------------------------------------
 

@@ -29,6 +29,13 @@ time series (a ring buffer whose sampling interval doubles when full;
 the budget defaults to :data:`SAMPLE_BUDGET` entries and is configurable
 per table through the pipeline's ``stats_sample_budget`` knob).  *Costs*
 are charged by the interpreter intrinsics, not here.
+
+Beside the statistics each shared table keeps a publish cursor: the
+lifetime totals a metrics registry has already received.
+``take_unpublished`` returns each counter's growth past the cursor and
+advances it under the table's lock, so every probe reaches the registry
+exactly once however many runs publish the table.  The cursor is not
+part of :class:`TableStats`.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ from .jenkins import hash_key_words
 from .values import deep_copy_value
 
 _WORD_BYTES = 4
+
+# TableStats' lifetime counters, published to metrics registries by growth
+STAT_COUNTERS = ("probes", "hits", "misses", "collisions", "empty_misses", "evictions")
 
 
 # Sentinel on the pending stack for probes skipped by adaptive bypass.
@@ -69,6 +79,19 @@ class _SharedProbes:
         # empty, since a pending entry holds an index its commit will write
         self._stacks: list[list] = []
         self._pending = _Pending(self._stacks)
+        # publish cursors: counter totals already taken, per counted object
+        self._published: dict = {}
+
+    def _take_grown(self, key, source, fields) -> dict:
+        """Each of ``source``'s counters ``fields`` less the cursor
+        ``key``; moves the cursor up to them.  Caller holds the lock."""
+        cursor = self._published.setdefault(key, {})
+        grown = {}
+        for name in fields:
+            total = getattr(source, name)
+            grown[name] = total - cursor.get(name, 0)
+            cursor[name] = total
+        return grown
 
     def push_bypass(self) -> None:
         """Mark the next commit as a no-op (adaptive deactivation skipped
@@ -263,6 +286,12 @@ class ReuseTable(_SharedProbes):
         self._outputs[index] = record
         return evicted
 
+    def take_unpublished(self) -> dict:
+        """How much each lifetime counter grew since the last call (see
+        the module docstring's publish cursor)."""
+        with self._lock:
+            return self._take_grown("stats", self.stats, STAT_COUNTERS)
+
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -284,6 +313,7 @@ class ReuseTable(_SharedProbes):
             self._outputs = [None] * self.capacity
             self._occupied = 0
             self.stats = TableStats(sample_budget=self.stats.sample_budget)
+            self._published.pop("stats", None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -390,6 +420,13 @@ class MergedReuseTable(_SharedProbes):
         self._outputs[index][member] = record
         return evicted
 
+    def _take_unpublished(self, member: int) -> dict:
+        segment = self.members[member]
+        with self._lock:
+            return self._take_grown(
+                ("stats", segment), self.stats_per_member[segment], STAT_COUNTERS
+            )
+
     # -- inspection -----------------------------------------------------------
 
     @property
@@ -447,6 +484,9 @@ class MergedTableView:
 
     def abandon(self) -> None:
         self.table.abandon()
+
+    def take_unpublished(self) -> dict:
+        return self.table._take_unpublished(self.member)
 
     @property
     def stats(self) -> TableStats:

@@ -135,47 +135,7 @@ def compile_builtin(name: str, args: list[ast.Expr], fc):
 
             run_probe = run_probe_profiled
 
-        registry = machine.metrics_registry
-        if registry is None:
-            return run_probe
-
-        # Metered wrapper, same compile-time gating as the profiler: the
-        # labeled counter children are resolved once here, so the hot
-        # path is one table lookup plus one integer add per probe.
-        label = {"segment": str(seg)}
-        probes_c = registry.counter(
-            "repro_reuse_probes", "Reuse-table probes that consulted the table."
-        ).labels(**label)
-        hits_c = registry.counter(
-            "repro_reuse_hits", "Reuse-table probe hits."
-        ).labels(**label)
-        misses_c = registry.counter(
-            "repro_reuse_misses", "Reuse-table probe misses."
-        ).labels(**label)
-        bypassed_c = registry.counter(
-            "repro_reuse_bypassed", "Probes skipped by the governor's bypass."
-        ).labels(**label)
-
-        def run_probe_metered(
-            fr, seg=seg, run_probe=run_probe, machine=machine,
-            probes_c=probes_c, hits_c=hits_c, misses_c=misses_c,
-            bypassed_c=bypassed_c,
-        ):
-            r = run_probe(fr)
-            pending_bypassed = getattr(
-                machine.table_for(seg), "pending_bypassed", None
-            )
-            if pending_bypassed is not None and pending_bypassed():
-                bypassed_c.inc()
-            else:
-                probes_c.inc()
-                if r == 1:
-                    hits_c.inc()
-                else:
-                    misses_c.inc()
-            return r
-
-        return run_probe_metered
+        return run_probe
 
     if name in ("__reuse_out_i", "__reuse_out_f"):
         seg = _segment_id(args, name)

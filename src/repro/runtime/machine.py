@@ -40,6 +40,32 @@ from ..errors import ConfigError, InterpError
 from .costs import CLASS_NAMES, N_CLASSES, CostTable, cost_table
 from .values import float_bits
 
+# Lifetime table and governor counters: metric -> (field of the growth
+# ``take_unpublished`` returns, help text).  Governor fields appear only
+# for governed tables.
+_LIFETIME_COUNTERS = {
+    "repro_reuse_probes": ("probes", "Reuse-table probes that consulted the table."),
+    "repro_reuse_hits": ("hits", "Reuse-table probe hits."),
+    "repro_reuse_misses": ("misses", "Reuse-table probe misses."),
+    "repro_reuse_collisions": ("collisions", "Probe misses on an occupied slot."),
+    "repro_reuse_empty_misses": ("empty_misses", "Probe misses on an empty slot."),
+    "repro_reuse_evictions": (
+        "evictions", "Committed entries that displaced a resident.",
+    ),
+    "repro_reuse_bypassed": (
+        "bypassed_executions", "Probes skipped by the governor's bypass.",
+    ),
+    "repro_governor_disables": ("disables", "Governor disable transitions."),
+    "repro_governor_reenables": ("reenables", "Governor re-enable transitions."),
+    "repro_governor_resizes": ("resizes", "Governor-driven table resizes."),
+    "repro_governor_flushes": ("flushes", "Governor-driven table flushes."),
+    "repro_governor_bypassed": (
+        "bypassed_executions", "Executions bypassed while disabled.",
+    ),
+}
+
+_GOVERNOR_STATE_VALUE = {"active": 1.0, "probing": 0.5, "disabled": 0.0}
+
 
 @dataclass
 class Metrics:
@@ -108,10 +134,6 @@ class Machine:
         # cycle-attribution profiler (repro.obs.profiler.CycleProfiler);
         # consulted at compile time by compile_program/compile_builtin
         self.cycle_profiler = None
-        # live metrics registry (repro.obs.metrics.MetricsRegistry); also
-        # consulted at compile time — the metered closures exist only
-        # when a registry is installed before compile_program
-        self.metrics_registry = None
         # debug info (repro.runtime.srcmap.SourceMap): when installed
         # before compile_program, both backends record per-line / per-pc
         # provenance into it.  Pure side table — never alters the
@@ -234,22 +256,18 @@ class Machine:
                 snapshots[seg_id] = governor.snapshot()
         return snapshots
 
-    def publish_metrics(self, registry=None) -> None:
-        """Publish this machine's run aggregates into a metrics registry
-        (default: the installed ``metrics_registry``; no-op without one).
+    def publish_metrics(self, registry) -> None:
+        """Publish this run into a metrics registry, once, after it ends.
 
-        Machine-level tallies (cycles, per-class ops, outputs) are
-        per-run increments.  Table and governor statistics are *lifetime*
-        totals of the installed tables, so they go through the counters'
-        monotone ``advance_to``: live per-probe increments (from the
-        metered closures) and end-of-run totals reconcile on the same
-        counters without double counting.  One registry should observe
-        one table population; publishing unrelated machines into it
-        would interleave unrelated lifetimes.
+        Machine-level tallies (cycles, per-class ops, outputs) are this
+        run's own.  Table and governor counters are lifetime totals of
+        the installed tables, which later runs may share, so each is
+        increased only by its growth since the table last published
+        (``take_unpublished``, the table's publish cursor): every probe
+        and governor transition reaches the registry exactly once, also
+        when programs sharing the registry reuse segment ids.  Gauges
+        take the last publisher's value.
         """
-        registry = registry if registry is not None else self.metrics_registry
-        if registry is None:
-            return
         registry.counter(
             "repro_machine_runs", "Measured executions published."
         ).inc()
@@ -270,23 +288,8 @@ class Machine:
             if count:
                 ops.labels(cls=name).inc(count)
         self._publish_table_metrics(registry)
-        self._publish_governor_metrics(registry)
 
     def _publish_table_metrics(self, registry) -> None:
-        probes = registry.counter(
-            "repro_reuse_probes", "Reuse-table probes that consulted the table."
-        )
-        hits = registry.counter("repro_reuse_hits", "Reuse-table probe hits.")
-        misses = registry.counter("repro_reuse_misses", "Reuse-table probe misses.")
-        collisions = registry.counter(
-            "repro_reuse_collisions", "Probe misses on an occupied slot."
-        )
-        empty = registry.counter(
-            "repro_reuse_empty_misses", "Probe misses on an empty slot."
-        )
-        evictions = registry.counter(
-            "repro_reuse_evictions", "Committed entries that displaced a resident."
-        )
         occupancy = registry.gauge(
             "repro_table_occupancy", "Occupied reuse-table slots (merged: shared)."
         )
@@ -305,42 +308,22 @@ class Machine:
             if stats is None:
                 continue
             label = {"segment": str(seg_id)}
-            probes.labels(**label).advance_to(stats.probes)
-            hits.labels(**label).advance_to(stats.hits)
-            misses.labels(**label).advance_to(stats.misses)
-            collisions.labels(**label).advance_to(stats.collisions)
-            empty.labels(**label).advance_to(stats.empty_misses)
-            evictions.labels(**label).advance_to(stats.evictions)
+            grown = table.take_unpublished()
+            for metric, (field_name, help_text) in _LIFETIME_COUNTERS.items():
+                if field_name in grown:
+                    registry.counter(metric, help_text).labels(**label).inc(
+                        grown[field_name]
+                    )
             occupancy.labels(**label).set(getattr(table, "occupied", 0))
             occupancy_hwm.labels(**label).set(stats.occupancy_hwm)
             hit_ratio.labels(**label).set(stats.hit_ratio)
             size_bytes.labels(**label).set(getattr(table, "size_bytes", 0))
-
-    def _publish_governor_metrics(self, registry) -> None:
-        snapshots = self.governor_telemetry()
-        if not snapshots:
-            return
-        lifetime = {
-            "repro_governor_disables": ("disables", "Governor disable transitions."),
-            "repro_governor_reenables": ("reenables", "Governor re-enable transitions."),
-            "repro_governor_resizes": ("resizes", "Governor-driven table resizes."),
-            "repro_governor_flushes": ("flushes", "Governor-driven table flushes."),
-            "repro_governor_bypassed": (
-                "bypassed_executions", "Executions bypassed while disabled.",
-            ),
-        }
-        active = registry.gauge(
-            "repro_governor_active",
-            "Governor state: 1 active, 0.5 probing, 0 disabled.",
-        )
-        state_value = {"active": 1.0, "probing": 0.5, "disabled": 0.0}
-        for seg_id, snap in snapshots.items():
-            label = {"segment": str(seg_id)}
-            for metric, (field_name, help_text) in lifetime.items():
-                registry.counter(metric, help_text).labels(**label).advance_to(
-                    snap[field_name]
-                )
-            active.labels(**label).set(state_value.get(snap["state"], 0.0))
+            governor = getattr(table, "governor", None)
+            if governor is not None:
+                registry.gauge(
+                    "repro_governor_active",
+                    "Governor state: 1 active, 0.5 probing, 0 disabled.",
+                ).labels(**label).set(_GOVERNOR_STATE_VALUE[governor.state])
 
     def metrics(self) -> Metrics:
         counts = {name: self.counters[i] for i, name in enumerate(CLASS_NAMES)}

@@ -21,7 +21,7 @@ which is what makes the backends bit-identical on cycles, metrics, and
 ledger verdicts.
 
 Value-set profiling is a translation-time decision, like the cycle
-profiler and the metrics registry: when ``machine.profiler`` is set at
+profiler: when ``machine.profiler`` is set at
 translation, each profiled segment's ``SegmentProfile`` parts are bound
 into the function's namespace and ``PROFILE``/``SEGE``/``SEGX`` become
 straight-line code that interns the key and times the segment inline.
@@ -136,19 +136,6 @@ def k_probe_end(machine, prof, seg, r):
     )
 
 
-def k_meter_probe(machine, seg, r, counters):
-    probes_c, hits_c, misses_c, bypassed_c = counters
-    pending_bypassed = getattr(machine.table_for(seg), "pending_bypassed", None)
-    if pending_bypassed is not None and pending_bypassed():
-        bypassed_c.inc()
-    else:
-        probes_c.inc()
-        if r == 1:
-            hits_c.inc()
-        else:
-            misses_c.inc()
-
-
 def _aggregate_words(value) -> list[int]:
     words: list[int] = []
     _flatten_aggregate(words, value)
@@ -208,7 +195,7 @@ _AGG_EXCLUDED = frozenset(
         op.PROBE, op.ROUT, op.ROUT_ARR, op.COMMIT, op.REND,
         op.PROFILE, op.SEGE, op.SEGX,
         op.PROF_ENTER, op.PROF_EXIT, op.PROF_PB, op.PROF_PE,
-        op.PROF_CB, op.PROF_SX, op.PROF_LINE, op.METER_FUNC, op.METER_PROBE,
+        op.PROF_CB, op.PROF_SX, op.PROF_LINE,
         op.INPUT_I, op.INPUT_F, op.INPUT_AV, op.OUTPUT, op.PRINT,
     )
 )
@@ -253,7 +240,7 @@ def _reg_uses(code) -> tuple[Counter, Counter]:
             reads[ins[1]] += 1
             reads[ins[2]] += 1
             reads[ins[3]] += 1
-        elif o == op.PROF_PE or o == op.METER_PROBE:
+        elif o == op.PROF_PE:
             reads[ins[2]] += 1
         # Probe-family source descriptors read registers outside the
         # pending machinery (the translator's ``_vals`` names them
@@ -1016,10 +1003,6 @@ class _Translator:
             self.stmt(f"_prof.segment_exit({ins[1]})")
         elif o == op.PROF_LINE:
             self.stmt(f"_prof.at_line({ins[1]})")
-        elif o == op.METER_FUNC:
-            self.stmt(f"_K[{ins[1]}].inc()")
-        elif o == op.METER_PROBE:
-            self.stmt(f"_k_meter_probe(_m, {ins[1]}, r{ins[2]}, _K[{ins[3]}])")
         else:  # pragma: no cover - complete opcode coverage above
             raise Untranslatable(f"no template for opcode {o}")
 
@@ -1060,7 +1043,6 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
         "_fbits": float_bits,
         "_agg_words": _aggregate_words,
         "_k_probe_end": k_probe_end,
-        "_k_meter_probe": k_meter_probe,
     }
     namespace.update(xl.bindings)
     name = f"_vm_{vmfn.name}"
@@ -1113,8 +1095,8 @@ def compile_vm_program(program, machine) -> VMProgram:
 
     Mirrors ``compile_program``'s phases: function shells (so calls and
     function values resolve by index), global templates, then bodies —
-    with the same Typer and the same observer-registration order, so a
-    metrics registry sees identical families either way.
+    with the same Typer, so both backends see identical globals and
+    function values.
     """
     from ...minic.sema import Typer
     from ..compiler import _ensure_recursion_limit, _global_template

@@ -170,7 +170,6 @@ class _FnCompiler:
         # (head, tail, back_pc, body_start, wrapped, has_break) per loop
         self._loop_meta: list[tuple] = []
         self.profiled = machine.cycle_profiler is not None
-        self.metered = machine.metrics_registry is not None
         # Line-attribution marks (PROF_LINE) exist only when the profiler
         # tracks lines; the SourceMap side table never changes emission.
         self.lined = self.profiled and getattr(
@@ -247,11 +246,6 @@ class _FnCompiler:
     # -- top level ----------------------------------------------------------
 
     def compile(self) -> VMFunction:
-        if self.metered:
-            calls = self.machine.metrics_registry.counter(
-                "repro_function_calls", "Function body invocations."
-            ).labels(function=self.fn.name)
-            self.emit(op.METER_FUNC, self.const(calls))
         if self.profiled:
             self.emit(op.PROF_ENTER, self.fn.name)
         self.stmt(self.fn.body)
@@ -845,21 +839,6 @@ class _FnCompiler:
             self.emit(op.PROBE, t, seg, meta, srcs)
             if self.profiled:
                 self.emit(op.PROF_PE, seg, t)
-            if self.metered:
-                # Same metrics, registered in the same order as the closure
-                # backend so the registry's family ordering is identical.
-                registry = self.machine.metrics_registry
-                label = {"segment": str(seg)}
-                counters = tuple(
-                    registry.counter(metric, help_text).labels(**label)
-                    for metric, help_text in (
-                        ("repro_reuse_probes", "Reuse-table probes that consulted the table."),
-                        ("repro_reuse_hits", "Reuse-table probe hits."),
-                        ("repro_reuse_misses", "Reuse-table probe misses."),
-                        ("repro_reuse_bypassed", "Probes skipped by the governor's bypass."),
-                    )
-                )
-                self.emit(op.METER_PROBE, seg, t, self.const(counters))
             return t
 
         if name in ("__reuse_out_i", "__reuse_out_f"):

@@ -14,10 +14,13 @@ the few ops whose cost depends on runtime data — reuse probes and commits
 hashing a variable number of words — charge inside their kernels,
 exactly as the closure intrinsics do.
 
-Observer ops (``PROF_*``, ``METER_*``) exist in the stream only when the
-corresponding observer (cycle profiler, metrics registry) was installed
-on the machine at compile time; an unobserved program's bytecode is
-byte-identical to a bare run's.
+Observer ops (``PROF_*``) exist in the stream only when the cycle
+profiler was installed on the machine at compile time; an unprofiled
+program's bytecode is byte-identical to a bare run's.  The metrics
+registry is no compile-time observer: a run's counters are published
+from the machine's and tables' own tallies after it ends
+(:meth:`~repro.runtime.machine.Machine.publish_metrics`), so a metered
+program's bytecode is the same as an unmetered one's.
 """
 
 from __future__ import annotations
@@ -131,8 +134,6 @@ PROF_PE = _next_op()     # (seg, r)        probe_end(hit=R[r]==1, bypassed=...)
 PROF_CB = _next_op()     # (seg,)          commit_begin
 PROF_SX = _next_op()     # (seg,)          segment_exit
 PROF_LINE = _next_op()   # (line,)         at_line — line-attribution mark
-METER_FUNC = _next_op()  # (k,)            consts[k].inc()  (call counter)
-METER_PROBE = _next_op() # (seg, r, k)     consts[k]: (bypassed, probes, hits, misses)
 
 N_OPCODES = _next_op()
 

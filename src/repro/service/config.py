@@ -83,7 +83,7 @@ class ServiceConfig:
     """Every knob of :class:`~repro.service.server.ReuseService`.
 
     ``port=0`` binds an ephemeral port (read it back from
-    ``service.port``), matching the ExpositionServer convention.
+    ``service.port``).
     ``max_pending`` bounds the whole admission queue: a request arriving
     while that many are in flight is rejected with 429 and a
     ``Retry-After`` hint instead of queueing without bound.

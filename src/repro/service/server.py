@@ -14,8 +14,8 @@
   paper's scheme.
 * ``GET /v1/stats`` — per-tenant program caches, run counts, aggregate
   table telemetry, and SLO accounting (``?tenant=`` narrows to one).
-* ``GET /metrics`` — the shared registry as OpenMetrics (same format as
-  :class:`~repro.obs.metrics.ExpositionServer`).
+* ``GET /metrics`` — the shared registry as OpenMetrics
+  (:func:`~repro.obs.metrics.render_openmetrics`).
 * ``GET /healthz`` — liveness plus drain state.
 * ``GET /v1/trace`` / ``GET /v1/trace/<id>`` — recent/slowest request
   summaries and one request's assembled span tree.  A request is traced

@@ -16,9 +16,8 @@ GOLDEN = Path(__file__).parent / "golden" / "dash.html"
 
 
 def _sample_data() -> DashData:
-    """A fixed DashData exercising every rendered element: anomalies in
-    both directions, empty and populated text blocks, characters that
-    need HTML escaping."""
+    """A fixed DashData exercising every rendered element: empty and
+    populated text blocks, characters that need HTML escaping."""
     clean = WorkloadPanel(
         key="UNEPIC@O0@static",
         cycles=5757080,
@@ -40,30 +39,20 @@ def _sample_data() -> DashData:
             "</section>"
         ),
     )
-    regressed = WorkloadPanel(
+    governed = WorkloadPanel(
         key="GNUGO@O3@governed",
         cycles=9000000,
         seconds=0.043689,
         energy_joules=0.017913,
         output_checksum=0x00000042,
         governor_text="segment 7: disabled after window 4 (gain < 0)",
-        anomalies=[
-            "GNUGO@O3@governed cycles: 9e+06 vs history 8.1e+06 "
-            "(+11.11% (flat history)) [REGRESSION, shifted at run 5]",
-            "GNUGO@O3@governed hit_ratio[7]: 0.31 vs history 0.62 "
-            "(-50.00% z=-4.2) [REGRESSION]",
-        ],
     )
-    improved = WorkloadPanel(
+    bare = WorkloadPanel(
         key="ADPCM_decode@O0@static",
         cycles=400000,
         seconds=0.001942,
         energy_joules=0.000796,
         output_checksum=0x7F00FF01,
-        anomalies=[
-            "ADPCM_decode@O0@static cycles: 4e+05 vs history 4.4e+05 "
-            "(-9.09% (flat history)) [improvement]",
-        ],
     )
     return DashData(
         title='repro dashboard <escape & check "quotes">',
@@ -86,7 +75,7 @@ def _sample_data() -> DashData:
             "      session.run  201.94ms  [api]  backend=closures opt=O0\n"
             "        machine.run  28.39ms  [api]  cycles=107683 entry=main"
         ),
-        panels=[clean, regressed, improved],
+        panels=[clean, governed, bare],
     )
 
 
@@ -108,8 +97,6 @@ def test_escaping_and_structure():
     for key in ("UNEPIC@O0@static", "GNUGO@O3@governed", "ADPCM_decode@O0@static"):
         assert f'href="#{key}"' in html
         assert f'id="{key}"' in html
-    assert "2 regression(s)" in html
-    assert "No history anomalies." in html
     assert html.count("<pre>") == html.count("</pre>")
     # the annotate fragment is embedded raw (markers survive unescaped),
     # and the session-latency quantile block is rendered
@@ -122,7 +109,7 @@ def test_escaping_and_structure():
 
 def test_empty_blocks_are_omitted():
     html = render_dashboard(_sample_data())
-    # the regressed panel has no table/profile text: its section renders
+    # the governed panel has no table/profile text: its section renders
     # the governor block only
     section = html.split('id="GNUGO@O3@governed"')[1].split("<h2")[0]
     assert "Governor" in section

@@ -1,14 +1,11 @@
-"""Unit tests for the metrics registry, OpenMetrics exposition, and the
-HTTP endpoint (including end-to-end from a live Session)."""
-
-import urllib.request
+"""Unit tests for the metrics registry and OpenMetrics exposition,
+including end-to-end from a live Session."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    ExpositionServer,
     MetricsRegistry,
     get_registry,
     parse_openmetrics,
@@ -32,15 +29,6 @@ class TestCounter:
         reg = MetricsRegistry()
         with pytest.raises(ConfigError):
             reg.counter("repro_things").inc(-1)
-
-    def test_advance_to_is_monotone(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_things").labels(segment="1")
-        c.inc(5)
-        c.advance_to(3)  # below current: no-op
-        assert c.value == 5
-        c.advance_to(9)
-        assert c.value == 9
 
     def test_labeled_children_are_memoized(self):
         reg = MetricsRegistry()
@@ -201,20 +189,10 @@ class TestProcessLocal:
         assert get_registry() is previous
 
 
-# -- HTTP exposition ---------------------------------------------------------
+# -- end to end --------------------------------------------------------------
 
 
-class TestExpositionServer:
-    def test_serves_metrics_and_404(self):
-        reg = _filled_registry()
-        with ExpositionServer(reg) as srv:
-            body = urllib.request.urlopen(srv.url, timeout=5).read().decode()
-            assert parse_openmetrics(body) == reg.snapshot()
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://{srv.host}:{srv.port}/nope", timeout=5
-                )
-
+class TestSessionMetrics:
     def test_live_session_end_to_end(self):
         import repro
         from repro.workloads import get_workload
@@ -222,19 +200,6 @@ class TestExpositionServer:
         workload = get_workload("UNEPIC")
         with repro.Session(metrics=True) as session:
             session.run(workload.source, workload.default_inputs()[:512])
-            srv = session.serve_metrics()
-            body = urllib.request.urlopen(srv.url, timeout=5).read().decode()
-        parsed = parse_openmetrics(body)
-        fams = parsed["families"]
+        fams = session.registry.snapshot()["families"]
         assert fams["repro_session_runs"]["samples"][0]["value"] == 1
-        assert "repro_machine_cycles" in fams
-        # close() shut the server down
-        with pytest.raises(OSError):
-            urllib.request.urlopen(srv.url, timeout=1)
-
-    def test_serve_metrics_requires_registry(self):
-        import repro
-
-        with repro.Session() as session:
-            with pytest.raises(ConfigError):
-                session.serve_metrics()
+        assert fams["repro_machine_cycles"]["samples"][0]["value"] > 0

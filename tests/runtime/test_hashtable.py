@@ -98,6 +98,38 @@ class TestReuseTable:
         assert t.occupied == 0
         assert t.probe((1,)) is False
 
+    def test_take_unpublished_returns_growth_once(self):
+        def feed(t):
+            t.probe((1,))
+            t.commit((2,))
+            t.probe((5,))  # same slot, different key: a collision
+            t.commit((3,))
+
+        t = ReuseTable("s", capacity=4, in_words=1, out_words=1)
+        feed(t)
+        assert t.take_unpublished() == {
+            "probes": 2, "hits": 0, "misses": 2,
+            "collisions": 1, "empty_misses": 1, "evictions": 1,
+        }
+        assert set(t.take_unpublished().values()) == {0}
+        # the cursor is not part of the statistics
+        twin = ReuseTable("s", capacity=4, in_words=1, out_words=1)
+        feed(twin)
+        assert t.stats == twin.stats
+        t.probe((5,))
+        t.finish()
+        assert t.take_unpublished()["hits"] == 1
+
+    def test_clear_resets_the_publish_cursor(self):
+        t = ReuseTable("s", capacity=4, in_words=1, out_words=1)
+        t.probe((1,))
+        t.commit((2,))
+        t.take_unpublished()
+        t.clear()
+        t.probe((1,))
+        t.commit((2,))
+        assert t.take_unpublished()["probes"] == 1
+
     @settings(max_examples=50)
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=200))
     def test_deterministic_function_property(self, keys):

@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro import api
 from repro.errors import ConfigError
+from repro.obs.metrics import parse_openmetrics
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -79,6 +80,16 @@ def _request(port, method, path, payload=None):
             return await client.request(method, path, payload)
 
     return asyncio.run(go())
+
+
+def _without_endpoint(snapshot, endpoint):
+    for family in snapshot["families"].values():
+        family["samples"] = [
+            sample
+            for sample in family["samples"]
+            if sample["labels"].get("endpoint") != endpoint
+        ]
+    return snapshot
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +171,22 @@ class TestEndpoints:
 
     def test_metrics_endpoint_exposes_service_families(self, server):
         _request(server.port, "GET", "/healthz")
+        _request(
+            server.port, "POST", "/v1/run",
+            {"tenant": "metrics-tenant", "source": KERNEL, "inputs": KERNEL_INPUTS},
+        )
         reply = _request(server.port, "GET", "/metrics")
         assert reply.status == 200
         assert "openmetrics" in reply.headers["content-type"]
         assert "repro_service_requests" in reply.payload
         assert "repro_service_request_seconds" in reply.payload
+        assert "repro_reuse_probes" in reply.payload  # published by the run
         assert reply.payload.endswith("# EOF\n")
+        # the body is the registry, exactly; only the /metrics request's
+        # own accounting lands after the body was rendered
+        assert _without_endpoint(
+            parse_openmetrics(reply.payload), "/metrics"
+        ) == _without_endpoint(server.registry.snapshot(), "/metrics")
 
     def test_governed_tenant_policy_applies(self, server):
         reply = _request(

@@ -331,7 +331,6 @@ class TestLegacyKeywordShims:
 class TestSessionLifecycle:
     def test_close_is_idempotent(self):
         session = api.Session(metrics=True)
-        session.serve_metrics()
         session.close()
         session.close()
         assert session.closed
@@ -343,28 +342,6 @@ class TestSessionLifecycle:
             session.compile(PROGRAM)
         with pytest.raises(ConfigError, match="closed Session"):
             session.run(PROGRAM, INPUTS)
-        with pytest.raises(ConfigError, match="closed Session"):
-            session.serve_metrics()
-
-    def test_serve_metrics_binds_ephemeral_port_and_survives_double_close(self):
-        import urllib.request
-
-        session = api.Session(metrics=True)
-        server = session.serve_metrics(port=0)
-        assert server.port != 0
-        assert session.serve_metrics() is server  # idempotent start
-        body = urllib.request.urlopen(server.url, timeout=5).read().decode()
-        assert body.endswith("# EOF\n")
-        session.close()
-        server.close()  # second close of the underlying server is a no-op
-
-    def test_two_sessions_never_collide_on_ports(self):
-        a, b = api.Session(metrics=True), api.Session(metrics=True)
-        try:
-            assert a.serve_metrics().port != b.serve_metrics().port
-        finally:
-            a.close()
-            b.close()
 
     def test_evict_drops_memoized_program(self):
         with api.Session() as session:

@@ -14,19 +14,21 @@ Two layers of checks:
   :class:`~repro.runtime.machine.Metrics` dataclass (the untransformed
   sweep lives in ``tests/runtime/test_fusion.py``);
 * opcode-level units — reuse probes/commits are first-class ops in the
-  stream, observer ops are emitted only when an observer is installed,
-  and the probe/commit protocol hits and bypasses exactly like the
-  closure intrinsics.
+  stream, observer ops are emitted only when an observer is installed
+  (a metrics registry is not one: a metered program's bytecode equals
+  an unmetered one's), and the probe/commit protocol hits and bypasses
+  exactly like the closure intrinsics.
 """
 
 import copy
+from dataclasses import asdict
 
 import pytest
 
 import repro
 from repro.minic.sema import analyze
+from repro.experiments.cache import ExperimentCache, cache_key
 from repro.obs.profiler import CycleProfiler
-from repro.obs.metrics import MetricsRegistry
 from repro.opt.pipeline import optimize
 from repro.reuse.pipeline import PipelineConfig, ReusePipeline
 from repro.runtime.compiler import compile_program
@@ -44,15 +46,18 @@ _cache: dict[str, tuple] = {}
 _closure_cache: dict[tuple, object] = {}
 
 
+def _config(workload):
+    return PipelineConfig(
+        min_executions=workload.min_executions,
+        memory_budget_bytes=workload.memory_budget_bytes,
+        governor=workload.governor or GovernorPolicy(),
+    )
+
+
 def _pipeline(workload):
     if workload.name not in _cache:
         inputs = workload.default_inputs()[:_INPUT_PREFIX]
-        config = PipelineConfig(
-            min_executions=workload.min_executions,
-            memory_budget_bytes=workload.memory_budget_bytes,
-            governor=workload.governor or GovernorPolicy(),
-        )
-        result = ReusePipeline(workload.source, config).run(inputs)
+        result = ReusePipeline(workload.source, _config(workload)).run(inputs)
         _cache[workload.name] = (result, inputs)
     return _cache[workload.name]
 
@@ -93,6 +98,37 @@ def test_vm_matches_closures(workload, opt_level, governed):
     # the whole dataclass: cycles, seconds, joules, checksum, per-table
     # TableStats (incl. sampled hit-ratio series), governor snapshots
     assert vm_metrics == base_metrics
+
+
+def _bytecode(vm_program):
+    return {
+        name: (fn.code, fn.consts) for name, fn in vm_program.functions.items()
+    }
+
+
+@pytest.mark.parametrize("opt_level", ["O0", "O3"])
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
+def test_metered_bytecode_identical(workload, opt_level, tmp_path):
+    """Metrics are published after a run from the tables' own tallies, so
+    a metered session's warm executable is the unmetered one's bytecode."""
+    result, inputs = _pipeline(workload)
+    config = _config(workload)
+    cache = ExperimentCache(tmp_path)
+    cache.store_pipeline(
+        cache_key("pipeline", workload.source, asdict(config), list(inputs)), result
+    )
+    codes = []
+    for metrics in (None, True):
+        with repro.Session(
+            repro.CompileOptions(opt=opt_level, backend="vm", config=config),
+            cache=cache,
+            metrics=metrics,
+        ) as session:
+            program = session.compile(workload.source)
+            program.run(inputs)
+            ((_, executable),) = program._idle
+            codes.append(_bytecode(executable))
+    assert codes[0] == codes[1]
 
 
 # -- ledger verdicts ---------------------------------------------------------
@@ -183,31 +219,22 @@ def test_probe_and_commit_are_first_class_ops():
 
 
 def test_observer_ops_emitted_only_when_observed():
-    """Profiler and meter ops exist in the stream only when the machine
-    has that observer installed at compile time — the VM's equivalent of
-    the closure backend's observer-free fast path."""
+    """Profiler ops exist in the stream only when the machine has a cycle
+    profiler installed at compile time — the VM's equivalent of the
+    closure backend's observer-free fast path."""
     from repro.minic import frontend
 
     prof_ops = {
         op.PROF_ENTER, op.PROF_EXIT, op.PROF_PB, op.PROF_PE,
         op.PROF_CB, op.PROF_SX,
     }
-    meter_ops = {op.METER_FUNC, op.METER_PROBE}
 
     bare = Machine("O0", backend="vm")
-    assert not _opcodes(compile_vm_program(frontend(KERNEL_PROGRAM), bare)) & (
-        prof_ops | meter_ops
-    )
+    assert not _opcodes(compile_vm_program(frontend(KERNEL_PROGRAM), bare)) & prof_ops
 
     profiled = Machine("O0", backend="vm")
     profiled.cycle_profiler = CycleProfiler(profiled)
     assert _opcodes(compile_vm_program(frontend(KERNEL_PROGRAM), profiled)) & prof_ops
-
-    metered = Machine("O0", backend="vm")
-    metered.metrics_registry = MetricsRegistry()
-    assert (
-        _opcodes(compile_vm_program(frontend(KERNEL_PROGRAM), metered)) & meter_ops
-    )
 
 
 def test_probe_protocol_hits_like_closures():
