@@ -46,7 +46,7 @@ from typing import Optional, Sequence, Union
 from .errors import ConfigError
 from .minic import format_program, frontend
 from .obs import DecisionLedger, Tracer, get_tracer, set_tracer
-from .obs.metrics import MetricsRegistry, get_registry, set_registry
+from .obs.metrics import MetricsRegistry
 from .obs.profiler import CycleProfile, CycleProfiler, ledger_costs
 from .opt.pipeline import optimize
 from .reuse.pipeline import PipelineConfig, PipelineResult, ReusePipeline
@@ -202,13 +202,7 @@ def parse_input_literal(token: str) -> Union[int, float]:
 def parse_input_stream(text: str) -> list:
     """Parse a whole input stream: literals separated by commas and/or
     whitespace (the one parser behind ``--inputs`` and ``--inputs-file``)."""
-    values = [parse_input_literal(tok) for tok in text.replace(",", " ").split()]
-    registry = get_registry()
-    if registry is not None:
-        registry.counter(
-            "repro_inputs_parsed", "Input literals parsed from streams."
-        ).inc(len(values))
-    return values
+    return [parse_input_literal(tok) for tok in text.replace(",", " ").split()]
 
 
 def _resolve_metrics(metrics) -> Optional[MetricsRegistry]:
@@ -369,30 +363,24 @@ class CompiledProgram:
     # -- lifecycle -----------------------------------------------------------
 
     def _traced(self):
-        """Context manager installing this program's tracer and metrics
-        registry (when attached) as the process-local instruments."""
+        """Context manager installing this program's tracer (when
+        attached) as the thread's tracer."""
 
         class _Scope:
-            def __init__(self, tracer, registry):
+            def __init__(self, tracer):
                 self._tracer = tracer
-                self._registry = registry
                 self._previous = None
-                self._previous_registry = None
 
             def __enter__(self):
                 if self._tracer is not None:
                     self._previous = set_tracer(self._tracer)
-                if self._registry is not None:
-                    self._previous_registry = set_registry(self._registry)
 
             def __exit__(self, *exc):
-                if self._registry is not None:
-                    set_registry(self._previous_registry)
                 if self._tracer is not None:
                     set_tracer(self._previous)
                 return False
 
-        return _Scope(self.tracer, self.registry)
+        return _Scope(self.tracer)
 
     def profile(self, inputs: Sequence = ()) -> PipelineResult:
         """Run the reuse pipeline on ``inputs`` (idempotent; a second call

@@ -48,13 +48,7 @@ from .profiler import (
     ledger_costs,
 )
 from .perfdb import PerfDB, Regression, baseline_key, check_rows, load_baseline, write_baseline
-from .metrics import (
-    MetricsRegistry,
-    get_registry,
-    parse_openmetrics,
-    render_openmetrics,
-    set_registry,
-)
+from .metrics import MetricsRegistry, parse_openmetrics, render_openmetrics
 from .render import render_hit_ratio_series, render_perf_history, sparkline
 from .dash import DashData, WorkloadPanel, render_dashboard
 
@@ -90,10 +84,8 @@ __all__ = [
     "load_baseline",
     "write_baseline",
     "MetricsRegistry",
-    "get_registry",
     "parse_openmetrics",
     "render_openmetrics",
-    "set_registry",
     "render_hit_ratio_series",
     "render_perf_history",
     "sparkline",

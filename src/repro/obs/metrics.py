@@ -5,14 +5,14 @@ answers "how did runs change across commits".  This module answers the
 deployment question in between: *what is the runtime doing right now?*
 A :class:`MetricsRegistry` holds named metric families — Counter, Gauge,
 Histogram — each fanning out into labeled children, and the runtime
-publishes into it from three places:
+publishes into it from two places, both handed the registry explicitly
+(there is no process-wide registry):
 
 * the :class:`~repro.runtime.machine.Machine`, once per run
   (probes/hits/misses/collisions/evictions/bypasses per segment, op
-  tallies, cycles);
-* the :class:`~repro.runtime.governor.SegmentGovernor` (state
-  transitions, windowed gain — the live view of R·C−O);
-* the :class:`~repro.api.Session` facade (runs, wall time, inputs).
+  tallies, cycles, and each governor's state transitions and last
+  windowed gain — the view of R·C−O — read from the governor's state);
+* the :class:`~repro.api.Session` facade (runs, wall time).
 
 Design constraints, mirroring the rest of :mod:`repro.obs`:
 
@@ -54,8 +54,6 @@ __all__ = [
     "render_openmetrics",
     "parse_openmetrics",
     "histogram_quantiles",
-    "get_registry",
-    "set_registry",
 ]
 
 OPENMETRICS_CONTENT_TYPE = (
@@ -621,26 +619,3 @@ def parse_openmetrics(text: str) -> dict:
             family["samples"].append(by_labels[key])
     return {"families": {name: families[name] for name in sorted(families)}}
 
-
-# -- the process-local registry ----------------------------------------------
-
-_registry: Optional[MetricsRegistry] = None
-
-
-def get_registry() -> Optional[MetricsRegistry]:
-    """The process-local registry, or None when metrics are off.
-
-    Unlike the tracer there is no always-on default object: publishers
-    guard with an ``is not None`` check so disabled metrics cost one
-    global read."""
-    return _registry
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Install ``registry`` as the process-local registry; returns the
-    previous one (pass it back to restore, like
-    :func:`repro.obs.tracer.set_tracer`)."""
-    global _registry
-    previous = _registry
-    _registry = registry
-    return previous

@@ -45,7 +45,10 @@ miss burst is warmup, not drift.
 State transitions are appended to :attr:`SegmentGovernor.transitions`
 (surfaced through ``Machine.metrics().governor`` and the decision
 ledger's ``governor`` stage) and emitted as tracer events when tracing
-is on.
+is on.  The governor writes to no metrics registry: after a run,
+``Machine.publish_metrics`` publishes its counters, its new transitions
+and its last closed window from this state, through the table's
+publish cursor.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from typing import Optional
 from ..errors import ConfigError
 from ..obs import get_tracer
 from ..obs.log import get_event_log
-from ..obs.metrics import get_registry
 from .hashtable import (
     _BYPASSED,
     SAMPLE_BUDGET,
@@ -65,6 +67,7 @@ from .hashtable import (
     MergedTableView,
     ReuseTable,
     TableStats,
+    _SharedProbes,
     pow2_ceil,
 )
 from .values import deep_copy_value
@@ -84,6 +87,9 @@ PROBING = "probing"
 # SegmentGovernor's lifetime counters, published to metrics registries by
 # growth through the governed table's publish cursor
 GOVERNOR_COUNTERS = ("disables", "reenables", "resizes", "flushes", "bypassed_executions")
+
+# ``transitions`` entries that record a table action, not a state change
+_TABLE_ACTIONS = ("resized", "flushed")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -163,6 +169,9 @@ class SegmentGovernor:
         self.resizes = 0
         self.flushes = 0
         self.transitions: list[dict] = []
+        # the last closed window's summary (probes, hit_rate, gain,
+        # evict_ratio), or None before the first
+        self.last_window: Optional[dict] = None
         # current window
         self._window_probes = 0
         self._window_hits = 0
@@ -224,21 +233,10 @@ class SegmentGovernor:
             "evict_ratio": self._window_evictions / probes,
         }
         self.windows_closed += 1
+        self.last_window = summary
         self._window_probes = 0
         self._window_hits = 0
         self._window_evictions = 0
-        registry = get_registry()
-        if registry is not None:
-            # the live view of the paper's R·C−O, one point per window
-            label = {"segment": str(self.segment_id)}
-            registry.gauge(
-                "repro_governor_window_gain",
-                "Windowed amortized gain R_w*C - O (cycles/execution).",
-            ).labels(**label).set(gain)
-            registry.gauge(
-                "repro_governor_window_hit_rate",
-                "Hit rate of the last closed governor window.",
-            ).labels(**label).set(hit_rate)
         if self.state is PROBING:
             if gain > 0.0:
                 self._transition(ACTIVE, "recovered", summary)
@@ -287,11 +285,6 @@ class SegmentGovernor:
                 segment=str(self.segment_id),
                 **{k: v for k, v in entry.items() if k != "probe"},
             )
-        registry = get_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_governor_transitions", "Governor state transitions."
-            ).labels(segment=str(self.segment_id), to=to, reason=reason).inc()
 
     def note_resize(self, old_capacity: int, new_capacity: int) -> None:
         self.resizes += 1
@@ -372,6 +365,23 @@ class SegmentGovernor:
         }
 
 
+def _take_governor(table: _SharedProbes, key, governor: SegmentGovernor) -> dict:
+    """The growth of ``governor``'s counters past the table's publish
+    cursor ``key``, plus (as ``state_transitions``) the state changes
+    appended to its history since then; moves the cursor.  Caller holds
+    the table lock."""
+    grown = table._take_grown(key, governor, GOVERNOR_COUNTERS)
+    cursor = table._published[key]
+    start = cursor.get("transitions", 0)
+    cursor["transitions"] = len(governor.transitions)
+    grown["state_transitions"] = [
+        entry
+        for entry in governor.transitions[start:]
+        if entry["reason"] not in _TABLE_ACTIONS
+    ]
+    return grown
+
+
 def _summary_wants_grow(summary: dict, policy: GovernorPolicy) -> bool:
     return summary["evict_ratio"] >= policy.resize_evict_ratio
 
@@ -422,6 +432,8 @@ class GovernedReuseTable(ReuseTable):
     def bypassed(self) -> bool:
         return _should_bypass(self.governor, self._lock)
 
+    pending_bypassed = _SharedProbes.pending_bypassed
+
     def _observe(self, hit: bool) -> None:
         summary = self.governor.observe(hit)
         if summary is not None and _summary_wants_grow(summary, self.governor.policy):
@@ -442,7 +454,7 @@ class GovernedReuseTable(ReuseTable):
     def take_unpublished(self) -> dict:
         with self._lock:
             grown = self._take_grown("stats", self.stats, STAT_COUNTERS)
-            grown.update(self._take_grown("governor", self.governor, GOVERNOR_COUNTERS))
+            grown.update(_take_governor(self, "governor", self.governor))
             return grown
 
     # -- growth / flush -----------------------------------------------------
@@ -553,9 +565,7 @@ class GovernedMergedReuseTable(MergedReuseTable):
                 ("stats", segment), self.stats_per_member[segment], STAT_COUNTERS
             )
             grown.update(
-                self._take_grown(
-                    ("governor", segment), self.governors[segment], GOVERNOR_COUNTERS
-                )
+                _take_governor(self, ("governor", segment), self.governors[segment])
             )
             return grown
 

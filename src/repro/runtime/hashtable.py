@@ -193,6 +193,22 @@ class TableStats:
         """(probe count, cumulative hit ratio) samples over execution."""
         return [(probes, hits / probes) for probes, hits in self.samples]
 
+    def snapshot(self) -> "TableStats":
+        """An independent copy (equal to ``copy.deepcopy(self)``): the
+        scalar fields plus a fresh list per sample pair."""
+        return TableStats(
+            probes=self.probes,
+            hits=self.hits,
+            misses=self.misses,
+            collisions=self.collisions,
+            empty_misses=self.empty_misses,
+            evictions=self.evictions,
+            occupancy_hwm=self.occupancy_hwm,
+            samples=[[probes, hits] for probes, hits in self.samples],
+            sample_interval=self.sample_interval,
+            sample_budget=self.sample_budget,
+        )
+
 
 class ReuseTable(_SharedProbes):
     """Direct-addressed reuse table for a single code segment.
@@ -204,6 +220,13 @@ class ReuseTable(_SharedProbes):
         out_words: output record width in words (for size accounting).
         sample_budget: hit-ratio ring-buffer capacity (>= 2).
     """
+
+    # A static table never bypasses: the guard's test is one class
+    # attribute read (the governed subclass makes both dynamic).
+    bypassed = False
+
+    def pending_bypassed(self) -> bool:
+        return False
 
     def __init__(
         self,
@@ -469,6 +492,12 @@ class MergedTableView:
 
     table: MergedReuseTable
     member: int
+
+    # static like ReuseTable; GovernedTableView overrides both
+    bypassed = False
+
+    def pending_bypassed(self) -> bool:
+        return False
 
     def probe(self, key: tuple) -> bool:
         return self.table._probe(self.member, key)

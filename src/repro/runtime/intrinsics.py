@@ -97,7 +97,7 @@ def compile_builtin(name: str, args: list[ast.Expr], fc):
         def run_probe(fr, seg=seg, builders=builders, machine=machine, ctr=ctr):
             table = machine.table_for(seg)
             # adaptive deactivation: a bypassed probe costs one flag test
-            if getattr(table, "bypassed", False):
+            if table.bypassed:
                 ctr[ALU] += 1
                 table.push_bypass()
                 return 0
@@ -115,21 +115,17 @@ def compile_builtin(name: str, args: list[ast.Expr], fc):
             # key construction, hashing, or the bypassed flag test — is
             # overhead.  A bypassed probe returns 0 like a miss; it is
             # told apart by the _BYPASSED sentinel the bypass branch
-            # pushed (merged static tables have no bypass protocol, hence
-            # the getattr).
+            # pushed (a static table's pending_bypassed is always False).
             def run_probe_profiled(
                 fr, seg=seg, run_probe=run_probe, machine=machine,
                 prof=cycle_profiler,
             ):
                 prof.probe_begin(seg)
                 r = run_probe(fr)
-                pending_bypassed = getattr(
-                    machine.table_for(seg), "pending_bypassed", None
-                )
                 prof.probe_end(
                     seg,
                     hit=r == 1,
-                    bypassed=pending_bypassed is not None and pending_bypassed(),
+                    bypassed=machine.table_for(seg).pending_bypassed(),
                 )
                 return r
 
@@ -179,7 +175,7 @@ def compile_builtin(name: str, args: list[ast.Expr], fc):
 
         def run_commit(fr, seg=seg, outs=outs, machine=machine, ctr=ctr):
             table = machine.table_for(seg)
-            if getattr(table, "pending_bypassed", None) and table.pending_bypassed():
+            if table.pending_bypassed():
                 ctr[ALU] += 1
                 table.commit(())
                 return 0

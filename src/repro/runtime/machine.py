@@ -31,7 +31,6 @@ and I/O.  Experiments that measure one run simply build a fresh machine.
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -65,6 +64,20 @@ _LIFETIME_COUNTERS = {
 }
 
 _GOVERNOR_STATE_VALUE = {"active": 1.0, "probing": 0.5, "disabled": 0.0}
+
+
+class TableSlots(dict):
+    """Segment id -> installed reuse table.
+
+    One mapping per machine, for its whole life: translated VM code binds
+    it once and indexes it at every probe, so :meth:`Machine.rearm`
+    refills it in place.  A missing segment raises :class:`InterpError`.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, segment_id):
+        raise InterpError(f"no reuse table installed for segment {segment_id}")
 
 
 @dataclass
@@ -127,7 +140,7 @@ class Machine:
             )
         self.backend = backend
         self.globals: list = []
-        self.reuse_tables: dict[int, object] = {}
+        self.reuse_tables = TableSlots()
         # value-set profiler (repro.profiling.valueset.ValueSetProfiler);
         # the VM binds it into translated code at compile time
         self.profiler = None
@@ -190,19 +203,18 @@ class Machine:
         self.reuse_tables[segment_id] = table
 
     def table_for(self, segment_id: int):
-        table = self.reuse_tables.get(segment_id)
-        if table is None:
-            raise InterpError(f"no reuse table installed for segment {segment_id}")
-        return table
+        return self.reuse_tables[segment_id]
 
     def rearm(self, inputs: Sequence, tables: dict) -> None:
         """Prepare this machine for its next run: zero the counters, install
         ``inputs``, and replace the reuse tables with ``tables`` (segment id
-        -> table).  Compiled code looks tables up through :meth:`table_for`
-        at run time, so a warm program runs against any table set."""
+        -> table).  Compiled code indexes :attr:`reuse_tables` at run
+        time and the mapping is refilled in place, so a warm program runs
+        against any table set."""
         self.reset_counters()
         self.set_inputs(inputs)
-        self.reuse_tables = dict(tables)
+        self.reuse_tables.clear()
+        self.reuse_tables.update(tables)
 
     # -- accounting ----------------------------------------------------------------
 
@@ -240,7 +252,7 @@ class Machine:
             stats = getattr(table, "stats", None)
             if stats is None:
                 continue
-            table_stats[seg_id] = copy.deepcopy(stats)
+            table_stats[seg_id] = stats.snapshot()
             merged = getattr(table, "table", None)  # a MergedTableView?
             if merged is not None:
                 merged_members.setdefault(merged.table_id, []).append(seg_id)
@@ -266,7 +278,8 @@ class Machine:
         (``take_unpublished``, the table's publish cursor): every probe
         and governor transition reaches the registry exactly once, also
         when programs sharing the registry reuse segment ids.  Gauges
-        take the last publisher's value.
+        take the last publisher's value; a governor's window gauges read
+        its last closed window.
         """
         registry.counter(
             "repro_machine_runs", "Measured executions published."
@@ -320,10 +333,29 @@ class Machine:
             size_bytes.labels(**label).set(getattr(table, "size_bytes", 0))
             governor = getattr(table, "governor", None)
             if governor is not None:
-                registry.gauge(
-                    "repro_governor_active",
-                    "Governor state: 1 active, 0.5 probing, 0 disabled.",
-                ).labels(**label).set(_GOVERNOR_STATE_VALUE[governor.state])
+                self._publish_governor(registry, label, governor, grown)
+
+    @staticmethod
+    def _publish_governor(registry, label: dict, governor, grown: dict) -> None:
+        registry.gauge(
+            "repro_governor_active",
+            "Governor state: 1 active, 0.5 probing, 0 disabled.",
+        ).labels(**label).set(_GOVERNOR_STATE_VALUE[governor.state])
+        for entry in grown["state_transitions"]:
+            registry.counter(
+                "repro_governor_transitions", "Governor state transitions."
+            ).labels(**label, to=entry["to"], reason=entry["reason"]).inc()
+        window = governor.last_window
+        if window is not None:
+            # the paper's R·C−O over the last closed window
+            registry.gauge(
+                "repro_governor_window_gain",
+                "Windowed amortized gain R_w*C - O (cycles/execution).",
+            ).labels(**label).set(window["gain"])
+            registry.gauge(
+                "repro_governor_window_hit_rate",
+                "Hit rate of the last closed governor window.",
+            ).labels(**label).set(window["hit_rate"])
 
     def metrics(self) -> Metrics:
         counts = {name: self.counters[i] for i, name in enumerate(CLASS_NAMES)}

@@ -13,12 +13,19 @@ defeats structural reconstruction raises :class:`Untranslatable`, and
 :func:`~repro.runtime.compiler.compile_program` then compiles the whole
 program on the closure backend instead (the exact reference oracle).
 
-The *reuse and observer ops* run through one set of kernels
-(``k_probe``/``k_commit``/...), each an exact transplant of the
-corresponding closure intrinsic in :mod:`repro.runtime.intrinsics` —
-same bypass protocol, same charge order, same hash-word accounting —
-which is what makes the backends bit-identical on cycles, metrics, and
-ledger verdicts.
+The *reuse ops* are compiled per site, from the site's static
+``(kind, charge class)`` layout.  A probe or commit whose operands are
+all scalars becomes straight-line code: one read of the machine's table
+slot mapping (``_T``, its ``reuse_tables``), one ``bypassed`` (or
+``pending_bypassed()``) test, its deferred key-load and hash charges
+folded into constant counter lines, and the key tuple built inline —
+int words as ``x & 4294967295``, float words through ``float_bits``,
+constants folded.  Only sites with an array operand call the kernels
+(``k_probe``/``k_commit``/``k_out_arr``).  Both forms are exact
+transplants of the closure intrinsics in :mod:`repro.runtime.intrinsics`
+— same bypass protocol, same charges, same hash words — which is what
+makes the backends bit-identical on cycles, metrics, and ledger
+verdicts.
 
 Value-set profiling is a translation-time decision, like the cycle
 profiler: when ``machine.profiler`` is set at
@@ -67,22 +74,37 @@ def _float_div(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reuse/observer kernels
+# Reuse kernels (aggregate operands only)
 # ---------------------------------------------------------------------------
 #
-# ``vals`` are the already-fetched source values (the descriptors only name
-# side-effect-free variable accesses, so fetch order cannot matter); the
-# kernels do all the charging, in the closure intrinsics' exact order —
-# including charging the key loads only on the non-bypassed path.
+# A probe or commit site whose operands are all scalars is translated to
+# straight-line code (``_Translator._probe``/``_commit``).  A site with an
+# array operand calls these instead; ``tables`` is the machine's
+# ``reuse_tables`` slot mapping, and ``vals`` are the already-fetched
+# source values (the descriptors only name side-effect-free variable
+# accesses, so fetch order cannot matter).  The kernels do all the
+# charging, in the closure intrinsics' exact order — including charging
+# the key loads only on the non-bypassed path.
 
 
-def k_probe(machine, ctr, seg, vals, meta):
-    table = machine.table_for(seg)
-    # adaptive deactivation: a bypassed probe costs one flag test
-    if getattr(table, "bypassed", False):
-        ctr[ALU] += 1
-        table.push_bypass()
-        return 0
+def k_bypass(table, ctr):
+    """A probe the governor bypasses (adaptive deactivation): it costs one
+    flag test, and leaves a no-op commit pending."""
+    ctr[ALU] += 1
+    table.push_bypass()
+    return 0
+
+
+def k_bypass_commit(table, ctr):
+    """The commit closing a bypassed probe."""
+    ctr[ALU] += 1
+    table.commit(())
+
+
+def k_probe(tables, ctr, seg, vals, meta):
+    table = tables[seg]
+    if table.bypassed:
+        return k_bypass(table, ctr)
     words: list[int] = []
     for value, (kind, cls) in zip(vals, meta):
         if cls >= 0:  # cls -1: operand evaluated (and charged) eagerly
@@ -93,11 +115,10 @@ def k_probe(machine, ctr, seg, vals, meta):
     return 1 if table.probe(tuple(words)) else 0
 
 
-def k_commit(machine, ctr, seg, vals, meta):
-    table = machine.table_for(seg)
-    if getattr(table, "pending_bypassed", None) and table.pending_bypassed():
-        ctr[ALU] += 1
-        table.commit(())
+def k_commit(tables, ctr, seg, vals, meta):
+    table = tables[seg]
+    if table.pending_bypassed():
+        k_bypass_commit(table, ctr)
         return 0
     values = []
     n_words = 0
@@ -111,12 +132,12 @@ def k_commit(machine, ctr, seg, vals, meta):
             n_words += 1
         values.append(value)
     ctr[HASH_WORD] += n_words
-    machine.table_for(seg).commit(tuple(values))
+    table.commit(tuple(values))
     return 0
 
 
-def k_out_arr(machine, ctr, seg, pos, dest, cls):
-    stored = machine.table_for(seg).output(pos)
+def k_out_arr(tables, ctr, seg, pos, dest, cls):
+    stored = tables[seg].output(pos)
     ctr[HASH_WORD] += _count_words(stored)
     if cls >= 0:
         ctr[cls] += 1  # the destination operand's own access charge
@@ -129,11 +150,21 @@ def k_out_arr(machine, ctr, seg, pos, dest, cls):
     return 0
 
 
-def k_probe_end(machine, prof, seg, r):
-    pending_bypassed = getattr(machine.table_for(seg), "pending_bypassed", None)
-    prof.probe_end(
-        seg, hit=r == 1, bypassed=pending_bypassed is not None and pending_bypassed()
-    )
+def _has_aggregate(meta) -> bool:
+    return any(kind == _KIND_AGGREGATE for kind, _ in meta)
+
+
+def _site_charges(meta, *fixed) -> list[str]:
+    """A scalar reuse site's deferred charges, one constant
+    ``_c[cls] += n`` line per class: its key loads (class -1 was charged
+    eagerly) plus the ``fixed`` (class, n) pairs."""
+    totals: Counter = Counter()
+    for _, cls in meta:
+        if cls >= 0:
+            totals[cls] += 1
+    for cls, n in fixed:
+        totals[cls] += n
+    return [f"_c[{cls}] += {n}" for cls, n in sorted(totals.items()) if n]
 
 
 def _aggregate_words(value) -> list[int]:
@@ -672,8 +703,9 @@ class _Translator:
         return True
 
     def _key(self, kinds, srcs) -> str:
-        """A PROFILE site's key tuple, built from its static layout: the
-        words ``_append_words`` gives, with constants folded here."""
+        """A PROFILE or scalar PROBE site's key tuple, built from its
+        static layout: the words ``_append_words`` gives, with constants
+        folded here."""
         parts = []
         for kind, (mode, slot) in zip(kinds, srcs):
             if mode == op.SRC_CONST:
@@ -687,6 +719,32 @@ class _Translator:
             else:
                 parts.append(f"{self._src(mode, slot)} & 4294967295")
         return "(" + ", ".join(parts) + ",)" if parts else "()"
+
+    def _probe(self, dest: int, seg: int, meta, srcs) -> None:
+        """A scalar-key probe site as straight-line code: one table-slot
+        read, one bypass test, the folded charges, the key built inline
+        — ``k_probe``'s steps and charges in the same order."""
+        self.flush()
+        self.w(f"_t = _T[{seg}]")
+        self.w("if _t.bypassed:")
+        self.w(f"    r{dest} = _k_bypass(_t, _c)")
+        self.w("else:")
+        for line in _site_charges(meta, (HASH_FIXED, 1), (HASH_WORD, len(meta))):
+            self.w("    " + line)
+        key = self._key([kind for kind, _ in meta], srcs)
+        self.w(f"    r{dest} = 1 if _t.probe({key}) else 0")
+
+    def _commit(self, seg: int, meta, srcs) -> None:
+        """A commit site whose outputs are all scalars, as ``k_commit``
+        would run it."""
+        self.flush()
+        self.w(f"_t = _T[{seg}]")
+        self.w("if _t.pending_bypassed():")
+        self.w("    _k_bypass_commit(_t, _c)")
+        self.w("else:")
+        for line in _site_charges(meta, (HASH_WORD, len(meta))):
+            self.w("    " + line)
+        self.w(f"    _t.commit({self._vals(srcs)})")
 
     def maybe_hoist(self, expr: str, volatile: bool) -> str:
         """Replace a loop-invariant pure operand with a preamble local."""
@@ -952,24 +1010,28 @@ class _Translator:
             s, v = self._one(ins)
             self.value(ins[1], f"float(_MATH[{ins[3]}](float({s})))", volatile=v)
         elif o == op.PROBE:
-            self.value(
-                ins[1],
-                f"_k_probe(_m, _c, {ins[2]}, {self._vals(ins[4])}, {ins[3]!r})",
-                volatile=True,
-            )
+            if _has_aggregate(ins[3]):
+                self.value(
+                    ins[1],
+                    f"_k_probe(_T, _c, {ins[2]}, {self._vals(ins[4])}, {ins[3]!r})",
+                    volatile=True,
+                )
+            else:
+                self._probe(ins[1], ins[2], ins[3], ins[4])
         elif o == op.ROUT:
-            self.value(
-                ins[1], f"_m.table_for({ins[2]}).output({ins[3]})", volatile=True
-            )
+            self.value(ins[1], f"_T[{ins[2]}].output({ins[3]})", volatile=True)
         elif o == op.ROUT_ARR:
             dest = self._src(*ins[3])
-            self.stmt(f"_k_out_arr(_m, _c, {ins[1]}, {ins[2]}, {dest}, {ins[4]})")
+            self.stmt(f"_k_out_arr(_T, _c, {ins[1]}, {ins[2]}, {dest}, {ins[4]})")
         elif o == op.COMMIT:
-            self.stmt(
-                f"_k_commit(_m, _c, {ins[1]}, {self._vals(ins[3])}, {ins[2]!r})"
-            )
+            if _has_aggregate(ins[2]):
+                self.stmt(
+                    f"_k_commit(_T, _c, {ins[1]}, {self._vals(ins[3])}, {ins[2]!r})"
+                )
+            else:
+                self._commit(ins[1], ins[2], ins[3])
         elif o == op.REND:
-            self.stmt(f"_m.table_for({ins[1]}).finish()")
+            self.stmt(f"_T[{ins[1]}].finish()")
         elif o == op.PROFILE:
             self.flush()
             if self.value_site(ins[1]):
@@ -996,7 +1058,12 @@ class _Translator:
         elif o == op.PROF_PB:
             self.stmt(f"_prof.probe_begin({ins[1]})")
         elif o == op.PROF_PE:
-            self.stmt(f"_k_probe_end(_m, _prof, {ins[1]}, r{ins[2]})")
+            # a bypassed probe returns 0 like a miss; the table's pending
+            # stack tells them apart
+            self.stmt(
+                f"_prof.probe_end({ins[1]}, hit=r{ins[2]} == 1,"
+                f" bypassed=_T[{ins[1]}].pending_bypassed())"
+            )
         elif o == op.PROF_CB:
             self.stmt(f"_prof.commit_begin({ins[1]})")
         elif o == op.PROF_SX:
@@ -1018,10 +1085,14 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
     """
     xl = _Translator(vmfn)
     src = xl.build()
+    # free the source lines before compile(): the parser's transient
+    # peak on a large function is what sets a warm run's peak RSS
+    xl.lines.clear()
     machine = vmfn.machine
     namespace = {
         "_m": machine,
         "_c": machine.counters,
+        "_T": machine.reuse_tables,
         "_K": vmfn.consts,
         "_prof": vmfn.cycle_profiler,
         "_ONE": (0,),
@@ -1040,9 +1111,10 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
         "_k_probe": k_probe,
         "_k_commit": k_commit,
         "_k_out_arr": k_out_arr,
+        "_k_bypass": k_bypass,
+        "_k_bypass_commit": k_bypass_commit,
         "_fbits": float_bits,
         "_agg_words": _aggregate_words,
-        "_k_probe_end": k_probe_end,
     }
     namespace.update(xl.bindings)
     name = f"_vm_{vmfn.name}"

@@ -7,10 +7,8 @@ from repro.errors import ConfigError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    get_registry,
     parse_openmetrics,
     render_openmetrics,
-    set_registry,
 )
 
 
@@ -170,23 +168,6 @@ class TestOpenMetrics:
         reg.counter("repro_weird").labels(path='a"b\\c\nd').inc()
         snap = reg.snapshot()
         assert parse_openmetrics(render_openmetrics(snap)) == snap
-
-
-# -- process-local install ---------------------------------------------------
-
-
-class TestProcessLocal:
-    def test_default_is_none(self):
-        assert get_registry() is None
-
-    def test_set_returns_previous(self):
-        reg = MetricsRegistry()
-        previous = set_registry(reg)
-        try:
-            assert get_registry() is reg
-        finally:
-            set_registry(previous)
-        assert get_registry() is previous
 
 
 # -- end to end --------------------------------------------------------------

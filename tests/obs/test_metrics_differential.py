@@ -18,12 +18,15 @@ published (the table's publish cursor).  Checked here:
   metered session publish into the same labeled counters, which must
   read the sum of both programs' tables.
 * **Concurrent runs** — threads running one program on its shared tables
-  publish every probe exactly once.
+  publish every probe exactly once, and two metered programs running on
+  two threads each publish their governor transitions into their own
+  registry only.
 """
 
 import copy
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -259,3 +262,69 @@ def test_concurrent_runs_publish_each_probe_once(name, governed):
     runs = snap["families"]["repro_machine_runs"]["samples"][0]["value"]
     assert runs == threads * runs_per_thread + 1
     _assert_registry_sums(snap, [lifetime])
+
+
+def _transition_counts(snapshot) -> dict:
+    family = snapshot["families"].get("repro_governor_transitions")
+    if family is None:
+        return {}
+    return {
+        (s["labels"]["segment"], s["labels"]["to"], s["labels"]["reason"]): s["value"]
+        for s in family["samples"]
+    }
+
+
+def test_two_registries_on_two_threads_get_their_own_transitions():
+    """Two metered, governed programs with separate registries run at once
+    on two threads.  Each registry must read exactly its own program's
+    state transitions (table actions — resizes, flushes — have their own
+    counters), however the runs interleave."""
+    workload = get_workload("UNEPIC_drift")
+    profile_inputs = workload.default_inputs()[:4096]
+    run_inputs = workload.alternate_inputs()[:4096]
+    options = _session_options(workload, "O0", True, profile_inputs)
+    registries = [MetricsRegistry(), MetricsRegistry()]
+    programs = [
+        repro.compile(workload.source, options, metrics=registry)
+        for registry in registries
+    ]
+    for program in programs:
+        program.profile(profile_inputs)
+    expected = [Counter(), Counter()]
+    windowed = [set(), set()]
+    errors = []
+
+    def worker(index):
+        try:
+            for _ in range(3):
+                run = programs[index].run(run_inputs)
+                for seg_id, snap in run.metrics.governor.items():
+                    if snap["windows_closed"]:
+                        windowed[index].add(str(seg_id))
+                    for entry in snap["transitions"]:
+                        if entry["reason"] not in ("resized", "flushed"):
+                            key = (str(seg_id), entry["to"], entry["reason"])
+                            expected[index][key] += 1
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    pool = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two runs as often as possible
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert not errors
+    for registry, want, segments in zip(registries, expected, windowed):
+        snapshot = registry.snapshot()
+        assert sum(want.values()) > 0  # the shifted stream makes the governor act
+        assert _transition_counts(snapshot) == dict(want)
+        # the window gauges read each governor's last closed window
+        for family in ("repro_governor_window_gain", "repro_governor_window_hit_rate"):
+            samples = snapshot["families"][family]["samples"]
+            assert {s["labels"]["segment"] for s in samples} == segments

@@ -399,6 +399,28 @@ class TestHitRatioSampling:
         clone = TableStats(**json.loads(json.dumps(dataclasses.asdict(s))))
         assert clone == s
 
+    @settings(max_examples=50)
+    @given(st.lists(st.booleans(), max_size=300), st.integers(2, 16))
+    def test_snapshot_equals_deepcopy_and_is_independent(self, hits, budget):
+        import copy
+
+        from repro.runtime.hashtable import TableStats
+
+        s = TableStats(sample_budget=budget)
+        for i, hit in enumerate(hits):
+            s.record_probe(hit, collision=not hit and i % 2 == 0)
+            s.note_occupancy(i % 7)
+        s.evictions = len(hits) // 3
+        snap = s.snapshot()
+        assert snap == copy.deepcopy(s)
+        live = copy.deepcopy(s)
+        # the sample pairs are copies too, not the live lists
+        for pair in snap.samples:
+            pair[0] = -1
+        snap.samples.append([0, 0])
+        snap.probes += 1
+        assert s == live
+
 
 class TestSampleBudget:
     """The ring-buffer budget is configurable per table (satellite of the

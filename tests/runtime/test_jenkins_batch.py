@@ -7,7 +7,10 @@ words of 2**32 and above, and duplicated keys.
 
 The same identity over every key the pipeline actually profiles (all
 workloads at O0 and O3, on 4,096-input prefixes) is too slow for the
-tier-1 suite; run it with::
+tier-1 suite.  That sweep also checks the scalar hash itself, which is
+unrolled per word, against the byte-wise one-at-a-time reference
+(``jenkins_one_at_a_time(_word_bytes(key))``) on every key; run it
+with::
 
     PYTHONPATH=src python -m tests.runtime.test_jenkins_batch
 """
@@ -15,7 +18,12 @@ tier-1 suite; run it with::
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.runtime.jenkins import hash_key_batch, hash_key_words
+from repro.runtime.jenkins import (
+    _word_bytes,
+    hash_key_batch,
+    hash_key_words,
+    jenkins_one_at_a_time,
+)
 
 words = st.one_of(
     st.integers(min_value=0, max_value=0xFFFFFFFF),
@@ -55,9 +63,17 @@ def test_every_width_in_one_batch():
     assert hash_key_batch(batch) == [hash_key_words(k) for k in batch]
 
 
+def _bytewise(key: tuple) -> int:
+    """The reference the unrolled scalar hash must equal."""
+    if len(key) == 1:
+        return key[0] & 0xFFFFFFFF
+    return jenkins_one_at_a_time(_word_bytes(key))
+
+
 def sweep() -> tuple[int, int]:
-    """Check batch against scalar on every profiled key of every
-    workload at O0 and O3.  Returns (profiles, keys) checked."""
+    """Check batch against scalar, and scalar against the byte-wise
+    reference, on every profiled key of every workload at O0 and O3.
+    Returns (profiles, keys) checked."""
     from repro.reuse.pipeline import PipelineConfig, ReusePipeline
     from repro.workloads.registry import ALL_WORKLOADS
 
@@ -75,6 +91,11 @@ def sweep() -> tuple[int, int]:
             for seg_id, profile in sorted(result.profiles.items()):
                 profiled, _ = profile.key_counts()
                 want = [hash_key_words(k) for k in profiled]
+                if want != [_bytewise(k) for k in profiled]:
+                    raise AssertionError(
+                        f"{workload.name} {opt} segment {seg_id}: "
+                        "hash_key_words differs from the byte-wise reference"
+                    )
                 if hash_key_batch(profiled) != want:
                     raise AssertionError(
                         f"{workload.name} {opt} segment {seg_id}: "
@@ -88,4 +109,4 @@ def sweep() -> tuple[int, int]:
 
 if __name__ == "__main__":
     profiles, checked = sweep()
-    print(f"batch == scalar on {checked} keys in {profiles} profiles")
+    print(f"batch == scalar == byte-wise on {checked} keys in {profiles} profiles")

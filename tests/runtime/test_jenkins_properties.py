@@ -5,9 +5,16 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.runtime.jenkins import hash_key_words, jenkins_one_at_a_time
+from repro.runtime.jenkins import _word_bytes, hash_key_words, jenkins_one_at_a_time
 
 words = st.integers(min_value=0, max_value=0xFFFFFFFF)
+# what key builders may hand the hash: negative words and words of 2**32
+# and above, which it masks to their low 32 bits
+wide_words = st.one_of(
+    words,
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.sampled_from([-1, -(2**31), 2**31, 2**32, 2**32 + 7, 2**63 - 1]),
+)
 
 
 def test_one_at_a_time_published_vectors():
@@ -25,6 +32,13 @@ def test_multiword_key_value_is_pinned():
     assert hash_key_words((0xDEADBEEF, -1, 42, 7)) == 0xD9B33721
     assert hash_key_words((1, 2, 3)) == 0x15DB4C18
     assert hash_key_words(()) == 0
+
+
+@given(st.lists(wide_words, min_size=2, max_size=8).map(tuple))
+def test_unrolled_hash_equals_bytewise_reference(key):
+    # hash_key_words unrolls the one-at-a-time loop per word; it must stay
+    # the byte-wise function exactly (table indices, so cycles, hang on it)
+    assert hash_key_words(key) == jenkins_one_at_a_time(_word_bytes(key))
 
 
 @given(st.binary(max_size=64))

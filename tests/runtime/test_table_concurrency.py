@@ -177,6 +177,7 @@ def test_pending_probes_are_per_thread():
     seen = []
 
     def other():
+        assert table._pending.stack == []  # the stray probe is not this thread's
         assert table.pending_bypassed() is False
         seen.append(table.probe((1,)))
         seen.append(table.output(0))
