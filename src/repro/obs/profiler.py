@@ -8,7 +8,11 @@ end) it snapshots the running total and accrues the delta since the last
 snapshot to the node on top of an *attribution stack*.  Because every
 cycle charged between two snapshots lands in exactly one node, the
 per-node totals sum bit-exactly to ``Metrics.cycles`` — the conservation
-property the differential test asserts.
+property the differential test asserts.  On the VM the snapshot is the
+machine's running cycle total (``Machine.cycle_total``), which the
+profiled translations keep equal to that dot product charge by charge
+(:meth:`CycleProfiler.read_total`); the closure tree computes the dot
+product at each boundary.
 
 Attribution boundaries are only ever function calls and reuse
 intrinsics, both of which flush the VM's block-batched charges, so the
@@ -51,6 +55,8 @@ and VM backends agree on per-line totals line for line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import getitem
 from typing import Iterator, Optional
 
 __all__ = [
@@ -394,8 +400,9 @@ class CycleProfiler:
     def __init__(
         self, machine, seg_costs: Optional[dict] = None, lines: bool = False
     ) -> None:
-        self._counters = machine.counters
-        self._weights = machine.cost.cycles
+        # the cycle count so far: the cost table's dot product, until a VM
+        # program that keeps the machine's running total binds it
+        self._now = partial(machine.cost.cycles_for, machine.counters)
         self.seg_costs = dict(seg_costs or {})
         self.track_lines = lines
         self._lines: Optional[dict] = {} if lines else None
@@ -406,8 +413,11 @@ class CycleProfiler:
         self._last = self._now()
         self._profile: Optional[CycleProfile] = None
 
-    def _now(self) -> int:
-        return sum(c * k for c, k in zip(self._counters, self._weights))
+    def read_total(self, total: list) -> None:
+        """Read the cycle count from ``total[0]``, a running total kept
+        equal to the dot product (``Machine.cycle_total``; the VM binds
+        it once its profiled translations are linked)."""
+        self._now = partial(getitem, total, 0)
 
     def _tick(self) -> None:
         now = self._now()

@@ -2,7 +2,9 @@
 
 A :class:`Machine` bundles everything one execution needs:
 
-* the operation tally (``counters``) and the selected cost table;
+* the operation tally (``counters``) and the selected cost table, plus
+  a running cycle total (``cycle_total``) that VM code translated under
+  a cycle-reading observer keeps equal to their dot product;
 * global variable storage;
 * the program's input stream and output sink (workload data flows
   through the ``__input_*`` / ``__output_*`` intrinsics; the output
@@ -127,6 +129,11 @@ class Machine:
     ) -> None:
         self.cost: CostTable = cost_table(opt_level)
         self.counters: list[int] = [0] * N_CLASSES
+        # The running cycle total, ``cost.cycles_for(counters)`` kept up to
+        # date by VM translations made with a cycle-reading observer (the
+        # value-set or the cycle profiler) installed; they read it instead
+        # of the dot product.  Unobserved code never updates it.
+        self.cycle_total: list[int] = [0]
         # Execution backend: the register-bytecode VM (the default, and
         # the fast engine) or the closure tree (the unfused reference
         # oracle).  ``None`` defers to the REPRO_BACKEND environment
@@ -219,8 +226,9 @@ class Machine:
     # -- accounting ----------------------------------------------------------------
 
     def reset_counters(self) -> None:
-        # In place: compiled closures and translated VM code capture the list.
+        # In place: compiled closures and translated VM code capture the lists.
         self.counters[:] = [0] * N_CLASSES
+        self.cycle_total[0] = 0
 
     def reset_io(self) -> None:
         self._input_pos = 0

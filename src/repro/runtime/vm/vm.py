@@ -34,6 +34,13 @@ into the function's namespace and ``PROFILE``/``SEGE``/``SEGX`` become
 straight-line code that interns the key and times the segment inline.
 Without a profiler, or for a segment its ``allowed`` set filters out,
 those ops emit nothing.
+
+Both profilers read cycles, so a translation made with either installed
+keeps the machine's running cycle total (``Machine.cycle_total``, bound
+as ``_cy``): every constant charge also adds its cycles there, and the
+aggregate kernels add theirs, so reading the cycle count is one list
+read instead of the cost table's dot product.  A translation with no
+cycle-reading observer never touches the total.
 """
 
 from __future__ import annotations
@@ -84,26 +91,37 @@ def _float_div(a: float, b: float) -> float:
 # source values (the descriptors only name side-effect-free variable
 # accesses, so fetch order cannot matter).  The kernels do all the
 # charging, in the closure intrinsics' exact order — including charging
-# the key loads only on the non-bypassed path.
+# the key loads only on the non-bypassed path.  An observed translation
+# also passes the machine's running cycle total and the cost weights,
+# and the kernels add the cycles of what they charged to it.
+
+# What a bypassed probe or commit charges: one flag test.
+_BYPASS_CHARGE = ((ALU, 1),)
 
 
 def k_bypass(table, ctr):
     """A probe the governor bypasses (adaptive deactivation): it costs one
-    flag test, and leaves a no-op commit pending."""
+    flag test (``_BYPASS_CHARGE``), and leaves a no-op commit pending."""
     ctr[ALU] += 1
     table.push_bypass()
     return 0
 
 
 def k_bypass_commit(table, ctr):
-    """The commit closing a bypassed probe."""
+    """The commit closing a bypassed probe (``_BYPASS_CHARGE``)."""
     ctr[ALU] += 1
     table.commit(())
 
 
-def k_probe(tables, ctr, seg, vals, meta):
+def _key_load_cycles(meta, weights) -> int:
+    return sum(weights[cls] for _, cls in meta if cls >= 0)
+
+
+def k_probe(tables, ctr, seg, vals, meta, total=None, weights=None):
     table = tables[seg]
     if table.bypassed:
+        if total is not None:
+            total[0] += weights[ALU]
         return k_bypass(table, ctr)
     words: list[int] = []
     for value, (kind, cls) in zip(vals, meta):
@@ -112,12 +130,20 @@ def k_probe(tables, ctr, seg, vals, meta):
         _append_words(words, value, kind)
     ctr[HASH_FIXED] += 1
     ctr[HASH_WORD] += len(words)
+    if total is not None:
+        total[0] += (
+            _key_load_cycles(meta, weights)
+            + weights[HASH_FIXED]
+            + weights[HASH_WORD] * len(words)
+        )
     return 1 if table.probe(tuple(words)) else 0
 
 
-def k_commit(tables, ctr, seg, vals, meta):
+def k_commit(tables, ctr, seg, vals, meta, total=None, weights=None):
     table = tables[seg]
     if table.pending_bypassed():
+        if total is not None:
+            total[0] += weights[ALU]
         k_bypass_commit(table, ctr)
         return 0
     values = []
@@ -132,15 +158,20 @@ def k_commit(tables, ctr, seg, vals, meta):
             n_words += 1
         values.append(value)
     ctr[HASH_WORD] += n_words
+    if total is not None:
+        total[0] += _key_load_cycles(meta, weights) + weights[HASH_WORD] * n_words
     table.commit(tuple(values))
     return 0
 
 
-def k_out_arr(tables, ctr, seg, pos, dest, cls):
+def k_out_arr(tables, ctr, seg, pos, dest, cls, total=None, weights=None):
     stored = tables[seg].output(pos)
-    ctr[HASH_WORD] += _count_words(stored)
+    n_words = _count_words(stored)
+    ctr[HASH_WORD] += n_words
     if cls >= 0:
         ctr[cls] += 1  # the destination operand's own access charge
+    if total is not None:
+        total[0] += weights[HASH_WORD] * n_words + (weights[cls] if cls >= 0 else 0)
     if type(dest) is tuple:
         backing, offset = dest
         for i, item in enumerate(stored):
@@ -154,23 +185,28 @@ def _has_aggregate(meta) -> bool:
     return any(kind == _KIND_AGGREGATE for kind, _ in meta)
 
 
-def _site_charges(meta, *fixed) -> list[str]:
-    """A scalar reuse site's deferred charges, one constant
-    ``_c[cls] += n`` line per class: its key loads (class -1 was charged
-    eagerly) plus the ``fixed`` (class, n) pairs."""
+def _site_charges(meta, *fixed) -> list[tuple[int, int]]:
+    """A scalar reuse site's deferred charges as (class, n) pairs, one per
+    class: its key loads (class -1 was charged eagerly) plus the
+    ``fixed`` (class, n) pairs."""
     totals: Counter = Counter()
     for _, cls in meta:
         if cls >= 0:
             totals[cls] += 1
     for cls, n in fixed:
         totals[cls] += n
-    return [f"_c[{cls}] += {n}" for cls, n in sorted(totals.items()) if n]
+    return [(cls, n) for cls, n in sorted(totals.items()) if n]
 
 
 def _aggregate_words(value) -> list[int]:
     words: list[int] = []
     _flatten_aggregate(words, value)
     return words
+
+
+def _reads_cycles(machine) -> bool:
+    """Is a cycle-reading observer (value-set or cycle profiler) installed?"""
+    return machine.profiler is not None or machine.cycle_profiler is not None
 
 
 def _icall(target):
@@ -188,9 +224,35 @@ class Untranslatable(Exception):
     """The function's control flow defeats structural reconstruction."""
 
 
-def _w32(atom: str) -> str:
-    """Inline signed 32-bit wrap."""
-    return f"((({atom}) & 4294967295) ^ 2147483648) - 2147483648"
+def _w32(expr: str, term: bool = False) -> str:
+    """Inline signed 32-bit wrap.  ``term`` says ``expr`` is a call,
+    which binds tighter than ``&`` without parentheses."""
+    if not term:
+        expr = f"({expr})"
+    return f"(({expr} & 4294967295) ^ 2147483648) - 2147483648"
+
+
+# One pair of grouping parentheses around an atom — a register, hoist,
+# parameter or global slot (maybe indexed by a constant), or a
+# non-negative numeric literal — which binds tighter than any operator.
+# The lookbehind skips call parentheses.
+_PAREN_ATOM = re.compile(
+    r"\((?<=[^\w\])]\()"
+    r"((?:(?:r|_h|_p)\d+|_g\[\d+\])(?:\[\d+\])?|\d+(?:\.\d+)?(?:e[+-]?\d+)?)"
+    r"\)"
+)
+
+
+def _bare_atoms(src: str) -> str:
+    """``src`` without grouping parentheses around atoms.  The translator
+    builds every pending value parenthesized and sizes its inlining and
+    hoisting decisions on that text; dropping the redundant pairs only
+    here leaves those decisions, and so the bytecode, unchanged while the
+    parser gets fewer tokens."""
+    n = 1
+    while n:  # nested pairs, ``((r1))``, take one pass each
+        src, n = _PAREN_ATOM.subn(r"\1", src)
+    return src
 
 
 # Register-operand signatures, used by the translator's use census.
@@ -417,6 +479,10 @@ class _Translator:
         # profiled segment's SegmentProfile parts become namespace entries
         # that the PROFILE/SEGE/SEGX code writes into directly.
         self.bindings: dict[str, object] = {}
+        # With a cycle-reading observer installed, every charge also adds
+        # its cycles (per-class counts dotted with these weights) to the
+        # running total ``_cy``; None means the translation keeps none.
+        self.weights = vmfn.machine.cost.cycles if _reads_cycles(vmfn.machine) else None
 
     def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -487,6 +553,24 @@ class _Translator:
         self.flush()
         self.w(line)
 
+    def charge(self, pairs, pad: str = "") -> None:
+        """Emit constant charges, one ``_c[cls] += n`` line per (class, n)
+        pair, then their cycles' addition to the running total."""
+        for cls, n in pairs:
+            self.w(f"{pad}_c[{cls}] += {n}")
+        self.tally(pairs, pad)
+
+    def cycles(self, pairs) -> int:
+        return sum(n * self.weights[cls] for cls, n in pairs)
+
+    def tally(self, pairs, pad: str = "") -> None:
+        """In an observed translation, add the cycles of the (class, n)
+        charges ``pairs`` to the running total."""
+        if self.weights is not None:
+            cycles = self.cycles(pairs)
+            if cycles:
+                self.w(f"{pad}_cy[0] += {cycles}")
+
     # -- source construction -------------------------------------------------
 
     def build(self) -> str:
@@ -503,7 +587,7 @@ class _Translator:
             + header
             + (self.lines or ["    pass"])
         )
-        return src
+        return _bare_atoms(src)
 
     # -- range / structure emission ------------------------------------------
 
@@ -665,6 +749,14 @@ class _Translator:
                     )
             for cls in sorted(totals):
                 self.w(f"_c[{cls}] += " + " + ".join(totals[cls]))
+            if self.weights is not None:
+                terms = []
+                for var, pairs in agg:
+                    k = self.cycles(pairs)
+                    if k:
+                        terms.append(var if k == 1 else f"{k} * {var}")
+                if terms:
+                    self.w("_cy[0] += " + " + ".join(terms))
         return exit_
 
     # -- instruction emission -------------------------------------------------
@@ -697,7 +789,6 @@ class _Translator:
                 f"_vk{seg}": profile.key_stream,
                 f"_vi{seg}": profile._key_ids,
                 f"_ve{seg}": profile._enter_stack,
-                "_cycles_for": self.vmfn.machine.cost.cycles_for,
             }
         )
         return True
@@ -728,9 +819,11 @@ class _Translator:
         self.w(f"_t = _T[{seg}]")
         self.w("if _t.bypassed:")
         self.w(f"    r{dest} = _k_bypass(_t, _c)")
+        self.tally(_BYPASS_CHARGE, "    ")
         self.w("else:")
-        for line in _site_charges(meta, (HASH_FIXED, 1), (HASH_WORD, len(meta))):
-            self.w("    " + line)
+        self.charge(
+            _site_charges(meta, (HASH_FIXED, 1), (HASH_WORD, len(meta))), "    "
+        )
         key = self._key([kind for kind, _ in meta], srcs)
         self.w(f"    r{dest} = 1 if _t.probe({key}) else 0")
 
@@ -741,10 +834,15 @@ class _Translator:
         self.w(f"_t = _T[{seg}]")
         self.w("if _t.pending_bypassed():")
         self.w("    _k_bypass_commit(_t, _c)")
+        self.tally(_BYPASS_CHARGE, "    ")
         self.w("else:")
-        for line in _site_charges(meta, (HASH_WORD, len(meta))):
-            self.w("    " + line)
+        self.charge(_site_charges(meta, (HASH_WORD, len(meta))), "    ")
         self.w(f"    _t.commit({self._vals(srcs)})")
+
+    def _totalled(self) -> str:
+        """An aggregate kernel call's trailing arguments in an observed
+        translation: the running total and the weights to add to it."""
+        return ", _cy, _cw" if self.weights is not None else ""
 
     def maybe_hoist(self, expr: str, volatile: bool) -> str:
         """Replace a loop-invariant pure operand with a preamble local."""
@@ -789,8 +887,7 @@ class _Translator:
                 self._agg.append((var, ins[1]))
                 self.w(f"{var} += 1")
             else:
-                for cls, n in ins[1]:
-                    self.w(f"_c[{cls}] += {n}")
+                self.charge(ins[1])
         elif o == op.MOV:
             if ins[1] in self.unread:
                 return  # dead copy; the source stays pending/assigned
@@ -881,11 +978,11 @@ class _Translator:
         elif o == op.RETV:
             ((s, _, _),) = self.consume([ins[1]])
             self.flush()
-            self.w(f"_c[{RET}] += 1")
+            self.charge(((RET, 1),))
             self.w(f"return {s}")
         elif o == op.RET0:
             self.flush()
-            self.w(f"_c[{RET}] += 1")
+            self.charge(((RET, 1),))
             self.w("return 0")
         elif o == op.LOADG:
             self.uses_globals = True
@@ -974,7 +1071,7 @@ class _Translator:
             self.used_fnobjs.add(ins[2])
             self.value(ins[1], f"_FOBJ{ins[2]}")
         elif o == op.INPUT_I:
-            self.value(ins[1], _w32("int(_next_input())"), volatile=True)
+            self.value(ins[1], _w32("int(_next_input())", term=True), volatile=True)
         elif o == op.INPUT_F:
             self.value(ins[1], "float(_next_input())", volatile=True)
         elif o == op.INPUT_AV:
@@ -990,13 +1087,13 @@ class _Translator:
             self.stmt(f"if not {c or s}: raise _IErr('__assert failed')")
         elif o == op.CAST_I:
             s, v = self._one(ins)
-            self.value(ins[1], _w32(f"int({s})"), volatile=v)
+            self.value(ins[1], _w32(f"int({s})", term=True), volatile=v)
         elif o == op.CAST_F:
             s, v = self._one(ins)
             self.value(ins[1], f"float({s})", volatile=v)
         elif o == op.ABS:
             s, v = self._one(ins)
-            self.value(ins[1], _w32(f"abs({s})"), volatile=v)
+            self.value(ins[1], _w32(f"abs({s})", term=True), volatile=v)
         elif o == op.FABS:
             s, v = self._one(ins)
             self.value(ins[1], f"abs(float({s}))", volatile=v)
@@ -1013,7 +1110,8 @@ class _Translator:
             if _has_aggregate(ins[3]):
                 self.value(
                     ins[1],
-                    f"_k_probe(_T, _c, {ins[2]}, {self._vals(ins[4])}, {ins[3]!r})",
+                    f"_k_probe(_T, _c, {ins[2]}, {self._vals(ins[4])}, {ins[3]!r}"
+                    f"{self._totalled()})",
                     volatile=True,
                 )
             else:
@@ -1022,11 +1120,15 @@ class _Translator:
             self.value(ins[1], f"_T[{ins[2]}].output({ins[3]})", volatile=True)
         elif o == op.ROUT_ARR:
             dest = self._src(*ins[3])
-            self.stmt(f"_k_out_arr(_T, _c, {ins[1]}, {ins[2]}, {dest}, {ins[4]})")
+            self.stmt(
+                f"_k_out_arr(_T, _c, {ins[1]}, {ins[2]}, {dest}, {ins[4]}"
+                f"{self._totalled()})"
+            )
         elif o == op.COMMIT:
             if _has_aggregate(ins[2]):
                 self.stmt(
-                    f"_k_commit(_T, _c, {ins[1]}, {self._vals(ins[3])}, {ins[2]!r})"
+                    f"_k_commit(_T, _c, {ins[1]}, {self._vals(ins[3])}, {ins[2]!r}"
+                    f"{self._totalled()})"
                 )
             else:
                 self._commit(ins[1], ins[2], ins[3])
@@ -1041,7 +1143,7 @@ class _Translator:
         elif o == op.SEGE:
             self.flush()
             if self.value_site(ins[1]):
-                self.w(f"_ve{ins[1]}.append(_cycles_for(_c))")
+                self.w(f"_ve{ins[1]}.append(_cy[0])")
         elif o == op.SEGX:
             self.flush()
             if self.value_site(ins[1]):
@@ -1050,7 +1152,7 @@ class _Translator:
                 self.w(f"if {stack}:")
                 self.w(f"    _vt = {stack}.pop()")
                 self.w(f"    if not {stack}:")
-                self.w(f"        _vp{ins[1]}.inclusive_cycles += _cycles_for(_c) - _vt")
+                self.w(f"        _vp{ins[1]}.inclusive_cycles += _cy[0] - _vt")
         elif o == op.PROF_ENTER:
             self.stmt(f"_prof.enter_function({ins[1]!r})")
         elif o == op.PROF_EXIT:
@@ -1092,6 +1194,8 @@ def install_translated(vmfn: VMFunction) -> tuple[dict, set[int], set[int]]:
     namespace = {
         "_m": machine,
         "_c": machine.counters,
+        "_cy": machine.cycle_total,
+        "_cw": machine.cost.cycles,
         "_T": machine.reuse_tables,
         "_K": vmfn.consts,
         "_prof": vmfn.cycle_profiler,
@@ -1195,6 +1299,12 @@ def link_program(prog: VMProgram) -> None:
     the generated functions.  :class:`Untranslatable` propagates: one
     function that cannot be translated fails the whole program."""
     translated = [install_translated(vmfn) for vmfn in prog.by_index]
+    machine = prog.machine
+    if _reads_cycles(machine):
+        # the translations keep the running total from here on
+        machine.cycle_total[0] = machine.cycles
+        if machine.cycle_profiler is not None:
+            machine.cycle_profiler.read_total(machine.cycle_total)
     # Direct calls bind the callee's entry point without per-call lookups;
     # this must wait until every function is translated.
     for namespace, used_calls, used_fnobjs in translated:

@@ -9,14 +9,19 @@ call the ``k_probe``/``k_commit`` kernels.  Checked here:
   ``table_for``, while an array site still calls the kernels;
 * a warm executable re-armed with a fresh table set probes only the new
   tables, leaving the old tables' statistics untouched;
-* a missing table still raises :class:`InterpError`.
+* a missing table still raises :class:`InterpError`;
+* under a cycle profiler, the inline sites and the kernels keep the
+  machine's running cycle total equal to the dot product on the probe,
+  hit and bypass paths alike.
 """
 
 import pytest
 
 from repro.errors import InterpError
 from repro.minic import frontend
+from repro.obs.profiler import CycleProfiler
 from repro.runtime import Machine, ReuseTable, compile_program
+from repro.runtime.hashtable import _SharedProbes
 
 SOURCE = """
 int arr[4];
@@ -112,3 +117,37 @@ def test_missing_table_raises_interp_error():
         compiled.run("main")
     with pytest.raises(InterpError):
         machine.table_for(2)
+
+
+class _SwitchedOffTable(ReuseTable):
+    """A table its governor has bypassed for good: every probe takes the
+    bypass path and leaves a no-op commit pending."""
+
+    bypassed = True
+    pending_bypassed = _SharedProbes.pending_bypassed
+
+
+@pytest.mark.parametrize("bypassed", [False, True], ids=["probed", "bypassed"])
+def test_profiled_sites_keep_the_running_total(bypassed):
+    runs = {}
+    for backend in ("closures", "vm"):
+        machine = Machine("O0", backend=backend)
+        profiler = CycleProfiler(machine)
+        machine.cycle_profiler = profiler
+        compiled = compile_program(frontend(SOURCE), machine)
+        tables = _tables()
+        if bypassed:
+            tables = {
+                seg: _SwitchedOffTable(str(seg), t.capacity, t.in_words, t.out_words)
+                for seg, t in tables.items()
+            }
+        machine.rearm((), tables)
+        assert compiled.run("main") == EXPECTED
+        if backend == "vm":
+            assert "_cy[0] +=" in compiled.functions["square"].call.vm_source
+            assert ", _cy, _cw)" in compiled.functions["fill"].call.vm_source
+            assert machine.cycle_total == [machine.cycles]
+        profile = profiler.finalize()
+        assert profile.total_cycles == machine.cycles
+        runs[backend] = (machine.metrics(), profile.to_dict())
+    assert runs["vm"] == runs["closures"]

@@ -6,8 +6,13 @@ Three system-level invariants, checked against generated programs:
    (semantics oracle for straight-line integer code);
 2. the O3 optimizer pipeline never changes observable behaviour;
 3. the reuse transformation never changes observable behaviour, for any
-   feasible segment and any table capacity.
+   feasible segment and any table capacity;
+4. the VM's compile-time value profiling records what the closure
+   backend's run-time hooks record, on the pipeline's own instrumented
+   program.
 """
+
+import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +21,10 @@ from repro.minic import format_program, frontend
 from repro.minic.sema import analyze
 from repro.minic.parser import parse_program
 from repro.opt.pipeline import optimize
+from repro.profiling import ValueSetProfiler
 from repro.reuse import PipelineConfig, ReusePipeline
 from repro.runtime import Machine, compile_program
+from repro.runtime.vm import VMProgram
 from repro.runtime.values import c_shl, c_shr, wrap32
 
 
@@ -176,3 +183,53 @@ def test_reuse_plus_o3_preserves_behaviour(case):
     optimize(transformed, "O3")
     rt, ct = _run(transformed, inputs, "O3", result.build_tables())
     assert (r0, c0) == (rt, ct)
+
+
+# -- 4. value profiling: the VM equals the closure hooks ------------------------
+
+
+def _value_profiles(program, inputs, backend, entry):
+    machine = Machine("O0", backend=backend)
+    machine.set_inputs(list(inputs))
+    profiler = ValueSetProfiler(machine)
+    machine.profiler = profiler
+    compiled = compile_program(copy.deepcopy(program), machine)
+    assert isinstance(compiled, VMProgram) == (backend == "vm")
+    compiled.run(entry)
+    return {
+        seg: (
+            profile.executions,
+            list(profile.key_stream),
+            list(profile._key_ids),
+            profile.inclusive_cycles,
+        )
+        for seg, profile in profiler.profiles.items()
+    }
+
+
+class _EngineDifferentialPipeline(ReusePipeline):
+    """Profiles the instrumented program on both engines, in one run of
+    the pipeline, and records whether their profiles agree."""
+
+    compared: list
+
+    def _profiling_run(self, program, inputs):
+        entry = self.config.entry
+        self.compared = [
+            _value_profiles(program, inputs, backend, entry)
+            for backend in ("closures", "vm")
+        ]
+        return super()._profiling_run(program, inputs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(kernel_program())
+def test_vm_value_profiles_equal_closure_hooks(case):
+    source, inputs = case
+    pipeline = _EngineDifferentialPipeline(
+        source, PipelineConfig(min_executions=4, enable_cost_filter=False)
+    )
+    pipeline.run(inputs)
+    closures, vm = pipeline.compared
+    assert closures, "the instrumented program profiles at least one segment"
+    assert vm == closures
