@@ -19,7 +19,7 @@ from ..minic.types import PointerType
 from ..ir.cfg import CFG
 from .dataflow import DataflowResult, solve_backward
 from .pointer import PointsTo
-from .usedef import UseDefExtractor
+from .usedef import NodeUseDefs, UseDefExtractor
 
 
 def function_exit_live(
@@ -57,6 +57,7 @@ class Liveness:
         self.cfg = cfg
         self.extractor = extractor
         self._node_ud = {}
+        by_node = {}
         gen: dict[int, frozenset] = {}
         kill: dict[int, frozenset] = {}
         for node in cfg:
@@ -67,6 +68,7 @@ class Liveness:
             else:
                 ud = extractor.of_expr(node.ast_node)
             self._node_ud[node.nid] = ud
+            by_node[id(node.ast_node)] = ud
             gen[node.nid] = frozenset(ud.uses)
             kill[node.nid] = frozenset(ud.defs)  # only strong defs kill
 
@@ -74,6 +76,8 @@ class Liveness:
             return gen.get(nid, frozenset()) | (out - kill.get(nid, frozenset()))
 
         self.result: DataflowResult = solve_backward(cfg, transfer, exit_value=exit_live)
+        # every node's use/def sets, for the region analyses of segments
+        self.use_defs = NodeUseDefs(by_node)
 
     def live_in(self, nid: int) -> frozenset:
         return self.result.in_sets[nid]

@@ -10,13 +10,21 @@ handled by plain iteration), and they feed the call-site effects in
 :mod:`repro.analysis.usedef`, which is what makes def-use chains and
 liveness *global* in the paper's sense: "there may exist a def-use chain
 whose definition and use are in different procedures".
+
+Each function's *direct* effects are a per-function fact kept on its
+:class:`~repro.minic.index.FunctionIndex` with the points-to answers they
+read; a later ModRef over a re-solved points-to keeps them when those
+answers hold and recomputes them otherwise.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..minic import astnodes as ast
+from ..minic.index import FunctionIndex, ProgramIndex
 from .pointer import PointsTo
-from .usedef import UseDefExtractor
+from .usedef import UseDefExtractor, answers_hold
 
 
 class _NoEffects:
@@ -28,12 +36,17 @@ class _NoEffects:
 
 
 class ModRef:
-    def __init__(self, program: ast.Program, points_to: PointsTo) -> None:
+    def __init__(
+        self,
+        program: ast.Program,
+        points_to: PointsTo,
+        index: Optional[ProgramIndex] = None,
+    ) -> None:
         self.program = program
         self.points_to = points_to
         self._mod: dict[str, frozenset] = {}
         self._ref: dict[str, frozenset] = {}
-        self._compute()
+        self._compute(index if index is not None else ProgramIndex(program))
 
     def summary(self, name: str) -> tuple[frozenset, frozenset]:
         """Returns (MOD, REF) for a function name; empty for unknown."""
@@ -56,47 +69,44 @@ class ModRef:
 
     # -- computation -------------------------------------------------------
 
-    def _compute(self) -> None:
-        extractor = UseDefExtractor(self.points_to, modref=_NoEffects())
-        direct_mod: dict[str, set] = {}
-        direct_ref: dict[str, set] = {}
+    def _direct(self, entry: FunctionIndex) -> tuple[frozenset, frozenset]:
+        """(MOD, REF) of the function's own statements and conditions,
+        externalized, ignoring its calls' effects."""
+        cached = entry.facts.get("direct_modref")
+        if cached is not None:
+            mod, ref, log = cached
+            if answers_hold(log, self.points_to, _NoEffects()):
+                return mod, ref
+        log: list = []
+        extractor = UseDefExtractor(self.points_to, modref=_NoEffects()).recording(log)
+        mod: set = set()
+        ref: set = set()
+        for node in entry.bucket("stmts"):
+            ud = extractor.of_stmt(node)
+            mod |= ud.defs | ud.weak_defs
+            ref |= ud.uses
+        for node in entry.bucket("conds"):
+            if isinstance(node, ast.For):
+                parts = [part for part in (node.cond, node.step) if part is not None]
+            else:
+                parts = [node.cond]
+            for part in parts:
+                ud = extractor.of_expr(part)
+                mod |= ud.defs | ud.weak_defs
+                ref |= ud.uses
+        fn = entry.fn
+        result = (frozenset(self._externalize(fn, mod)), frozenset(self._externalize(fn, ref)))
+        entry.facts["direct_modref"] = (*result, log)
+        return result
+
+    def _compute(self, index: ProgramIndex) -> None:
         call_sites: dict[str, list] = {}
         for fn in self.program.functions:
-            mod: set = set()
-            ref: set = set()
-            calls: list = []
-            for node in ast.walk(fn.body):
-                if isinstance(node, ast.Call):
-                    calls.append(node)
-            for node in ast.walk(fn.body):
-                if isinstance(node, ast.Stmt):
-                    ud = extractor.of_stmt(node) if not isinstance(node, ast.Block) else None
-                    if ud is None:
-                        continue
-                    mod |= ud.defs | ud.weak_defs
-                    ref |= ud.uses
-                elif isinstance(node, (ast.If, ast.While, ast.DoWhile, ast.For)):
-                    pass
-            # Statements nested in control flow are themselves walked above
-            # (walk is recursive), but conditions are expressions: add them.
-            for node in ast.walk(fn.body):
-                if isinstance(node, (ast.If, ast.While, ast.DoWhile)):
-                    ud = extractor.of_expr(node.cond)
-                    mod |= ud.defs | ud.weak_defs
-                    ref |= ud.uses
-                elif isinstance(node, ast.For):
-                    for part in (node.cond, node.step):
-                        if part is not None:
-                            ud = extractor.of_expr(part)
-                            mod |= ud.defs | ud.weak_defs
-                            ref |= ud.uses
-            direct_mod[fn.name] = self._externalize(fn, mod)
-            direct_ref[fn.name] = self._externalize(fn, ref)
-            call_sites[fn.name] = calls
+            entry = index.function(fn.name)
+            self._mod[fn.name], self._ref[fn.name] = self._direct(entry)
+            call_sites[fn.name] = entry.bucket("calls")
 
         # Fixed point over the call graph.
-        self._mod = {name: frozenset(s) for name, s in direct_mod.items()}
-        self._ref = {name: frozenset(s) for name, s in direct_ref.items()}
         changed = True
         while changed:
             changed = False
@@ -123,5 +133,7 @@ class ModRef:
         }
 
 
-def analyze_modref(program: ast.Program, points_to: PointsTo) -> ModRef:
-    return ModRef(program, points_to)
+def analyze_modref(
+    program: ast.Program, points_to: PointsTo, index: Optional[ProgramIndex] = None
+) -> ModRef:
+    return ModRef(program, points_to, index)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..minic import astnodes as ast
+from ..minic.index import ProgramIndex
 from ..minic.types import ArrayType, PointerType
 
 
@@ -78,7 +79,7 @@ class _UnionFind:
 class PointsTo:
     """The result of running pointer analysis over a whole program."""
 
-    def __init__(self, program: ast.Program) -> None:
+    def __init__(self, program: ast.Program, index: Optional[ProgramIndex] = None) -> None:
         self.program = program
         self._uf = _UnionFind()
         self._cell_of: dict[ast.Symbol, int] = {}
@@ -87,7 +88,7 @@ class PointsTo:
         # the cell holding function f's return value
         self._ret_cell: dict[str, int] = {}
         self._functions = {fn.name: fn for fn in program.functions}
-        self._run()
+        self._run(index if index is not None else ProgramIndex(program))
 
     # -- cells ----------------------------------------------------------------
 
@@ -118,20 +119,27 @@ class PointsTo:
 
     # -- constraint generation ------------------------------------------------
 
-    def _run(self) -> None:
-        # Iterate to a fixed point: indirect-call constraints depend on
-        # points-to facts discovered by earlier iterations.
+    def _run(self, index: ProgramIndex) -> None:
+        # Each function's constraints are its index's "constraints"
+        # bucket (assignments, declarations, calls, returns) in walk
+        # order, so cells are created in visit order.  Iterate to a fixed
+        # point: indirect-call constraints depend on points-to facts
+        # discovered by earlier iterations.
+        constraints = [
+            (fn.name, index.function(fn.name).bucket("constraints"))
+            for fn in self._functions.values()
+        ]
         for _ in range(4):
             before = len(self._uf._parent)
             snapshot = list(self._uf._parent)
-            for fn in self._functions.values():
-                self._visit_function(fn)
+            for name, nodes in constraints:
+                self._visit_function(name, nodes)
             after = list(self._uf._parent)
             if len(after) == before and after == snapshot:
                 break
 
-    def _visit_function(self, fn: ast.Function) -> None:
-        for node in ast.walk(fn.body):
+    def _visit_function(self, name: str, nodes: list) -> None:
+        for node in nodes:
             if isinstance(node, ast.Assign) and node.op == "=":
                 target_cell = self._lvalue_cell(node.target)
                 if target_cell is not None:
@@ -143,7 +151,7 @@ class PointsTo:
             elif isinstance(node, ast.Call):
                 self._visit_call(node)
             elif isinstance(node, ast.Return) and node.value is not None:
-                self._assign(self._ret(fn.name), node.value)
+                self._assign(self._ret(name), node.value)
 
     def _assign(self, target_cell: int, value: ast.Expr) -> None:
         value_cell = self._value_cell(value)
@@ -301,6 +309,6 @@ class PointsTo:
         }
 
 
-def analyze_pointers(program: ast.Program) -> PointsTo:
+def analyze_pointers(program: ast.Program, index: Optional[ProgramIndex] = None) -> PointsTo:
     """Run the global pointer analysis."""
-    return PointsTo(program)
+    return PointsTo(program, index)

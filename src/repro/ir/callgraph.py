@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..minic import astnodes as ast
+from ..minic.index import ProgramIndex
 from ..analysis.pointer import PointsTo
 from .scc import condense, strongly_connected_components
 
@@ -27,18 +28,23 @@ class CallSite:
 
 
 class CallGraph:
-    def __init__(self, program: ast.Program, points_to: Optional[PointsTo] = None) -> None:
+    def __init__(
+        self,
+        program: ast.Program,
+        points_to: Optional[PointsTo] = None,
+        index: Optional[ProgramIndex] = None,
+    ) -> None:
         self.program = program
-        self.points_to = points_to or PointsTo(program)
+        if index is None:
+            index = ProgramIndex(program)
+        self.points_to = points_to or PointsTo(program, index)
         self.edges: dict[str, set[str]] = {fn.name: set() for fn in program.functions}
         self.call_sites: list[CallSite] = []
-        self._build()
+        self._build(index)
 
-    def _build(self) -> None:
+    def _build(self, index: ProgramIndex) -> None:
         for fn in self.program.functions:
-            for node in ast.walk(fn.body):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in index.function(fn.name).bucket("calls"):
                 callees = frozenset(self.points_to.call_targets(node))
                 if callees:
                     self.call_sites.append(
@@ -87,5 +93,9 @@ class CallGraph:
         return seen
 
 
-def build_callgraph(program: ast.Program, points_to: Optional[PointsTo] = None) -> CallGraph:
-    return CallGraph(program, points_to)
+def build_callgraph(
+    program: ast.Program,
+    points_to: Optional[PointsTo] = None,
+    index: Optional[ProgramIndex] = None,
+) -> CallGraph:
+    return CallGraph(program, points_to, index)

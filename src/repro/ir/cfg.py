@@ -8,6 +8,11 @@ itself, which is what lets region queries ("which CFG nodes lie inside
 this loop body?") give the paper's segment boundaries exactly — a loop's
 condition is *outside* its body segment.
 
+Nodes are created in statement order, so the nodes owned by one
+statement or block (and everything nested in it) are one contiguous id
+range; the builder records it, and region queries read it instead of
+walking the tree.
+
 The CFG drives the dataflow analyses (liveness at segment exits,
 upward-exposed reads at segment entries, reaching definitions for def-use
 chains, and the code-coverage/invariance analysis of section 2.4).
@@ -47,6 +52,8 @@ class CFG:
     def __init__(self, func: ast.Function) -> None:
         self.func = func
         self.nodes: list[CFGNode] = []
+        # id(stmt or block) -> (it, first node id, one past its last)
+        self._extents: dict[int, tuple[ast.Node, int, int]] = {}
         self.entry = self._new_node(ENTRY, None, None).nid
         self.exit = self._new_node(EXIT, None, None).nid
 
@@ -74,13 +81,16 @@ class CFG:
     def nodes_in_region(self, region_root: ast.Node) -> set[int]:
         """CFG node ids whose owner statement lies inside ``region_root``
         (inclusive).  For a loop *body* region pass the body block: the
-        loop's own condition/step nodes stay outside."""
-        inside = set(id(n) for n in ast.walk(region_root))
-        return {
-            node.nid
-            for node in self.nodes
-            if node.owner is not None and id(node.owner) in inside
-        }
+        loop's own condition/step nodes stay outside.  A root the builder
+        did not see (a detached block wrapping in-tree statements, an
+        expression) holds the regions of its children."""
+        extent = self._extents.get(id(region_root))
+        if extent is not None:
+            return set(range(extent[1], extent[2]))
+        region: set[int] = set()
+        for child in region_root.children():
+            region |= self.nodes_in_region(child)
+        return region
 
     def region_entries(self, region: set[int]) -> set[int]:
         """Nodes in the region with a predecessor outside it (or none)."""
@@ -138,8 +148,10 @@ class _Builder:
     # falls through into the construct) and returns the new frontier.
 
     def _build_block(self, block: ast.Block, frontier: list[int]) -> list[int]:
+        start = len(self.cfg.nodes)
         for stmt in block.stmts:
             frontier = self._build_stmt(stmt, frontier)
+        self.cfg._extents[id(block)] = (block, start, len(self.cfg.nodes))
         return frontier
 
     def _link(self, node: CFGNode, frontier: list[int]) -> None:
@@ -147,6 +159,12 @@ class _Builder:
             self.cfg.add_edge(nid, node.nid)
 
     def _build_stmt(self, stmt: ast.Stmt, frontier: list[int]) -> list[int]:
+        start = len(self.cfg.nodes)
+        frontier = self._build_nodes(stmt, frontier)
+        self.cfg._extents[id(stmt)] = (stmt, start, len(self.cfg.nodes))
+        return frontier
+
+    def _build_nodes(self, stmt: ast.Stmt, frontier: list[int]) -> list[int]:
         cfg = self.cfg
         if isinstance(stmt, (ast.DeclStmt, ast.ExprStmt)):
             node = cfg._new_node(STMT, stmt, stmt)

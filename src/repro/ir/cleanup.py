@@ -17,32 +17,45 @@ ternaries, and loop conditions/steps are left in place (their conditional
 or repeated evaluation cannot be hoisted), as are calls that are already
 the entire right-hand side.
 
-Run on a *resolved* program (types are needed to declare the temporaries);
-re-run :func:`repro.minic.sema.analyze` afterwards.
+Run on a *resolved* program (types are needed to declare the
+temporaries).  Only the functions that hoisted a call are re-indexed and
+re-resolved afterwards; a program with nothing to hoist is left as it was.
 """
 
 from __future__ import annotations
 
+from typing import Optional
 
 from ..minic import astnodes as ast
 from ..minic.builtins import BUILTINS
-from ..minic.sema import Typer, analyze
+from ..minic.index import ProgramIndex
+from ..minic.sema import Typer, resolve_functions
 from ..minic.types import VOID, Type
 
 _TEMP_PREFIX = "__cu"
 
 
 class CleanupPass:
-    def __init__(self, program: ast.Program) -> None:
+    def __init__(self, program: ast.Program, index: Optional[ProgramIndex] = None) -> None:
         self.program = program
+        self.index = index
         self.typer = Typer(program)
         self._counter = 0
         self.hoisted = 0  # number of calls split out (for tests/reporting)
 
     def run(self) -> ast.Program:
+        changed: list[ast.Function] = []
         for fn in self.program.functions:
+            before = self.hoisted
             self._clean_block(fn.body)
-        analyze(self.program)
+            if self.hoisted > before:
+                changed.append(fn)
+        if changed:
+            if self.index is None:
+                self.index = ProgramIndex(self.program)
+            else:
+                self.index.refresh(fn.name for fn in changed)
+            resolve_functions(self.program, changed, self.index)
         return self.program
 
     def _fresh_name(self) -> str:
@@ -156,6 +169,7 @@ class CleanupPass:
             return VOID
 
 
-def cleanup(program: ast.Program) -> ast.Program:
-    """Run the clean-up pass in place; returns the (re-analyzed) program."""
-    return CleanupPass(program).run()
+def cleanup(program: ast.Program, index: Optional[ProgramIndex] = None) -> ast.Program:
+    """Run the clean-up pass in place; returns the program, with the
+    functions that changed re-indexed (in ``index``) and re-resolved."""
+    return CleanupPass(program, index).run()

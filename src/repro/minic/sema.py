@@ -14,7 +14,9 @@ Responsibilities:
   non-functions, arity errors for known functions and builtins).
 
 ``analyze`` mutates the AST in place and returns it, so passes can chain:
-``analyze(parse_program(src))``.
+``analyze(parse_program(src))``.  :func:`resolve_functions` resolves only
+the functions a later pass created or rewrote, keeping every other
+symbol, and re-derives global constness.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 from ..errors import SemanticError
 from . import astnodes as ast
 from .builtins import BUILTINS
+from .index import ProgramIndex
 from .types import (
     FLOAT,
     INT,
@@ -66,13 +69,45 @@ class SemanticAnalyzer:
 
     # -- entry point -----------------------------------------------------
 
-    def run(self) -> ast.Program:
+    def run(self, index: Optional[ProgramIndex] = None) -> ast.Program:
         self._declare_globals()
         self._declare_functions()
         for fn in self.program.functions:
             self._resolve_function(fn)
-        self._mark_constant_globals()
+        if index is None:
+            index = ProgramIndex(self.program)
+        else:
+            for entry in index:
+                entry.facts.clear()  # every symbol is new
+        mark_constant_globals(self.program, index)
         return self.program
+
+    def resolve(
+        self,
+        functions: list[ast.Function],
+        calls: list[ast.Call],
+        index: ProgramIndex,
+    ) -> None:
+        """Resolve ``functions`` and the callee names of ``calls``
+        against the existing global and function symbols."""
+        for g in self.program.globals:
+            assert g.decl.symbol is not None
+            self.global_scope.define(g.decl.symbol)
+        for fn in self.program.functions:
+            if fn.symbol is None:
+                self._declare_function(fn)
+            else:
+                self.global_scope.define(fn.symbol)
+        for fn in functions:
+            self._resolve_function(fn)
+            index.function(fn.name).facts.clear()
+        for call in calls:
+            self._resolve_expr(call.func, self.global_scope)
+            self._check_call_arity(call)
+            owner = index.owner(call)
+            if owner is not None:
+                owner.facts.clear()
+        mark_constant_globals(self.program, index)
 
     # -- pass 1: global declarations --------------------------------------
 
@@ -90,10 +125,13 @@ class SemanticAnalyzer:
 
     def _declare_functions(self) -> None:
         for fn in self.program.functions:
-            ftype = FuncType(fn.ret_type, tuple(decay(p.type) for p in fn.params))
-            symbol = ast.Symbol(name=fn.name, type=ftype, kind="func")
-            fn.symbol = symbol
-            self.global_scope.define(symbol)
+            self._declare_function(fn)
+
+    def _declare_function(self, fn: ast.Function) -> None:
+        ftype = FuncType(fn.ret_type, tuple(decay(p.type) for p in fn.params))
+        symbol = ast.Symbol(name=fn.name, type=ftype, kind="func")
+        fn.symbol = symbol
+        self.global_scope.define(symbol)
 
     # -- pass 2: function bodies ------------------------------------------
 
@@ -256,45 +294,54 @@ class SemanticAnalyzer:
                 f"builtin {name!r} expects {sig.min_args} args, got {len(call.args)}"
             )
 
-    # -- pass 3: constant-global detection ----------------------------------
 
-    def _mark_constant_globals(self) -> None:
-        """A global is treated as constant if it is declared const, or if no
-        function ever (a) assigns it, (b) applies ++/-- or & to it, or
-        (c) passes it (or a subobject) as a call argument.  Case (c) is
-        conservative; pointer mod/ref analysis refines it later."""
-        written: set[ast.Symbol] = set()
-        escaped: set[ast.Symbol] = set()
-        for fn in self.program.functions:
-            for node in ast.walk(fn.body):
-                if isinstance(node, ast.Assign):
-                    root = _root_symbol(node.target)
-                    if root is not None and root.kind == "global":
-                        written.add(root)
-                elif isinstance(node, ast.IncDec):
-                    root = _root_symbol(node.target)
-                    if root is not None and root.kind == "global":
-                        written.add(root)
-                elif isinstance(node, ast.Unary) and node.op == "&":
-                    root = _root_symbol(node.operand)
-                    if root is not None and root.kind == "global":
-                        escaped.add(root)
-                elif isinstance(node, ast.Call):
-                    for arg in node.args:
-                        root = _root_symbol(arg)
-                        if (
-                            root is not None
-                            and root.kind == "global"
-                            and not root.type.is_scalar
-                        ):
-                            escaped.add(root)
-        for g in self.program.globals:
-            symbol = g.decl.symbol
-            assert symbol is not None
-            if g.is_const:
-                symbol.is_const = True
-            elif symbol not in written and symbol not in escaped:
-                symbol.is_const = True
+def _global_effects(entry) -> tuple[frozenset, frozenset]:
+    """The globals one function writes (assignment or ++/--) and lets
+    escape (``&``, or an array passed to a call), from its index buckets;
+    a per-function fact."""
+    facts = entry.facts.get("global_effects")
+    if facts is not None:
+        return facts
+    written: set[ast.Symbol] = set()
+    escaped: set[ast.Symbol] = set()
+    for node in entry.bucket("assigns") + entry.bucket("incdecs"):
+        root = _root_symbol(node.target)
+        if root is not None and root.kind == "global":
+            written.add(root)
+    for node in entry.bucket("unaries"):
+        if node.op == "&":
+            root = _root_symbol(node.operand)
+            if root is not None and root.kind == "global":
+                escaped.add(root)
+    for node in entry.bucket("calls"):
+        for arg in node.args:
+            root = _root_symbol(arg)
+            if root is not None and root.kind == "global" and not root.type.is_scalar:
+                escaped.add(root)
+    facts = entry.facts["global_effects"] = (frozenset(written), frozenset(escaped))
+    return facts
+
+
+def mark_constant_globals(program: ast.Program, index: ProgramIndex) -> None:
+    """A global is treated as constant if it is declared const, or if no
+    function ever (a) assigns it, (b) applies ++/-- or & to it, or
+    (c) passes it (or a subobject) as a call argument.  Case (c) is
+    conservative; pointer mod/ref analysis refines it later.
+
+    Derived afresh from every function's written/escaped globals each
+    time, so a rewrite that removes the last write or escape (a
+    specialized call site no longer passing an array) makes the global
+    constant."""
+    written: set[ast.Symbol] = set()
+    escaped: set[ast.Symbol] = set()
+    for fn in program.functions:
+        fn_written, fn_escaped = _global_effects(index.function(fn.name))
+        written |= fn_written
+        escaped |= fn_escaped
+    for g in program.globals:
+        symbol = g.decl.symbol
+        assert symbol is not None
+        symbol.is_const = g.is_const or (symbol not in written and symbol not in escaped)
 
 
 def _root_symbol(expr: ast.Expr) -> Optional[ast.Symbol]:
@@ -389,6 +436,21 @@ class Typer:
         raise SemanticError(f"cannot type expression {type(expr).__name__}")
 
 
-def analyze(program: ast.Program) -> ast.Program:
-    """Run semantic analysis in place and return the program."""
-    return SemanticAnalyzer(program).run()
+def analyze(program: ast.Program, index: Optional[ProgramIndex] = None) -> ast.Program:
+    """Run semantic analysis in place and return the program.  Global
+    constness reads ``index`` (built here when not given)."""
+    return SemanticAnalyzer(program).run(index)
+
+
+def resolve_functions(
+    program: ast.Program,
+    functions: list[ast.Function],
+    index: ProgramIndex,
+    calls: list[ast.Call] = (),
+) -> None:
+    """Resolve only what a pass created or rewrote in an analyzed
+    program: the bodies of ``functions`` (indexed already; a function
+    without a symbol, such as a specialized clone, is declared) and the
+    callee names of ``calls``.  Every other Symbol object is kept.
+    Global constness is re-derived from every function's facts."""
+    SemanticAnalyzer(program).resolve(list(functions), list(calls), index)

@@ -16,6 +16,7 @@ from typing import Optional
 
 from ..minic import astnodes as ast
 from ..minic.builtins import BUILTINS
+from ..minic.index import ProgramIndex
 from ..minic.sema import Typer
 from ..minic.types import FLOAT, decay
 from ..runtime import costs
@@ -23,8 +24,14 @@ from ..runtime.costs import CostTable
 
 
 class GranularityAnalysis:
-    def __init__(self, program: ast.Program, cost_table: Optional[CostTable] = None) -> None:
+    def __init__(
+        self,
+        program: ast.Program,
+        cost_table: Optional[CostTable] = None,
+        index: Optional[ProgramIndex] = None,
+    ) -> None:
         self.program = program
+        self.index = index if index is not None else ProgramIndex(program)
         self.cost = cost_table or costs.O0
         self.typer = Typer(program)
         self._functions = {fn.name: fn for fn in program.functions}
@@ -109,7 +116,7 @@ class GranularityAnalysis:
         trips = (bound - start + (1 if inclusive else 0)) / step
         if trips <= 0:
             return 1.0
-        if any(isinstance(n, ast.Break) for n in ast.walk(stmt.body)):
+        if self.index.within(stmt.body, "breaks"):
             trips = max(1.0, trips / 2.0)
         return trips
 

@@ -29,15 +29,10 @@ from .cost_model import prefer_inner
 from .segments import ProgramAnalysis, Segment
 
 
-def _contains_node(region_root: ast.Node, target: ast.Node) -> bool:
-    return any(node is target for node in ast.walk(region_root))
-
-
 def _region_call_names(region_root: ast.Node, analysis: ProgramAnalysis) -> set[str]:
     names: set[str] = set()
-    for node in ast.walk(region_root):
-        if isinstance(node, ast.Call):
-            names |= analysis.points_to.call_targets(node)
+    for node in analysis.index.within(region_root, "calls"):
+        names |= analysis.points_to.call_targets(node)
     return names
 
 
@@ -78,7 +73,7 @@ class NestingGraph:
             for inner in segments:
                 if inner.seg_id == outer.seg_id:
                     continue
-                if inner.func_name == outer.func_name and _contains_node(
+                if inner.func_name == outer.func_name and self.analysis.index.contains(
                     outer.region_root, inner.control
                 ):
                     self.edges[outer.seg_id].add(inner.seg_id)

@@ -8,8 +8,9 @@ Steps, in order:
 4. static cost estimates (granularity lower bound, hashing-overhead upper
    bound) and the ``O/C < 1`` pre-filter;
 5. *specialization*: function segments that fail the pre-filter but have
-   call-site-invariant arguments get specialized clones, and the analysis
-   round restarts once;
+   call-site-invariant arguments get specialized clones; only the clones
+   and the rewritten call sites are resolved, only their facts are
+   recomputed, and the interprocedural fixpoints are re-solved once;
 6. one value-set profiling run of every candidate measures N, N_ds, the
    reuse rate R, and the per-execution granularity C;
 7. the frequency filter drops segments that run executed fewer than
@@ -34,8 +35,9 @@ from typing import Optional, Sequence
 
 from ..errors import ConfigError
 from ..minic import astnodes as ast
+from ..minic.index import ProgramIndex
 from ..minic.parser import parse_program
-from ..minic.sema import analyze
+from ..minic.sema import analyze, resolve_functions
 from ..ir.cleanup import cleanup
 from ..obs import DecisionLedger, get_tracer
 from ..profiling.freq import frequent_segments
@@ -271,8 +273,13 @@ class ReusePipeline:
 
     # -- helpers ------------------------------------------------------------
 
-    def _fresh_program(self) -> ast.Program:
-        return analyze(parse_program(self.source))
+    def _fresh_program(self) -> tuple[ast.Program, ProgramIndex]:
+        """The parsed, resolved and cleaned-up program, with the one
+        index the compile's analyses share."""
+        program = parse_program(self.source)
+        index = ProgramIndex(program)
+        analyze(program, index)
+        return cleanup(program, index), index
 
     def _profiling_run(self, program: ast.Program, inputs: Sequence) -> ValueSetProfiler:
         machine = Machine(self.config.opt_level)
@@ -305,14 +312,16 @@ class ReusePipeline:
             result = self._run_stages(inputs, tracer, ledger)
         return result
 
-    def _run_stages(self, inputs: Sequence, tracer, ledger: DecisionLedger) -> PipelineResult:
+    def _analyze(self, tracer):
+        """The static stages: one index, the analyses over it, segment
+        enumeration and cost estimates, then specialization with its
+        clone-only refresh.  Returns (program, analysis, granularity,
+        segments, specialization records)."""
         config = self.config
         with tracer.span("pipeline.analyze"):
-            program = cleanup(self._fresh_program())
-
-            # Round 1: analysis + optional specialization -------------------
-            analysis = ProgramAnalysis(program)
-            granularity = GranularityAnalysis(program)
+            program, index = self._fresh_program()
+            analysis = ProgramAnalysis(program, index)
+            granularity = GranularityAnalysis(program, index=index)
             segments = enumerate_segments(analysis)
             annotate_costs(segments, granularity)
         specializations: list[SpecializationRecord] = []
@@ -326,18 +335,28 @@ class ReusePipeline:
                     and not cost_model.passes_prefilter(s.static_granularity, s.overhead)
                 ]
                 if failing:
-                    specializer = Specializer(program, analysis.invariants)
+                    specializer = Specializer(program, analysis.invariants, index)
                     for segment in failing:
                         specializer.specialize_function(segment.func_name)
                     if specializer.records:
                         specializations = specializer.records
-                        analyze(program)
-                        analysis = ProgramAnalysis(program)
-                        granularity = GranularityAnalysis(program)
+                        resolve_functions(
+                            program,
+                            specializer.created,
+                            index,
+                            calls=specializer.rewritten_calls,
+                        )
+                        analysis.refresh()
+                        granularity = GranularityAnalysis(program, index=index)
                         segments = enumerate_segments(analysis)
                         annotate_costs(segments, granularity)
                 if span is not None:
                     span.args["specialized"] = len(specializations)
+        return program, analysis, granularity, segments, specializations
+
+    def _run_stages(self, inputs: Sequence, tracer, ledger: DecisionLedger) -> PipelineResult:
+        config = self.config
+        program, analysis, granularity, segments, specializations = self._analyze(tracer)
 
         # Sub-segment extension (the paper's §5 future work) -----------------
         if config.enable_subsegments:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..minic import astnodes as ast
+from ..minic.index import FunctionIndex, ProgramIndex
 from ..minic.types import FLOAT, VOID
 from ..ir.callgraph import CallGraph
 from ..ir.cfg import CFG, build_cfg
@@ -32,7 +33,7 @@ from ..analysis.liveness import Liveness, function_exit_live
 from ..analysis.modref import ModRef
 from ..analysis.pointer import PointsTo
 from ..analysis.upward import segment_inputs
-from ..analysis.usedef import UseDefExtractor
+from ..analysis.usedef import UseDefExtractor, answers_hold
 
 # Builtins whose calls make a segment non-memoizable.
 _IO_BUILTINS = frozenset(
@@ -48,14 +49,37 @@ _IO_BUILTINS = frozenset(
 
 
 class ProgramAnalysis:
-    """All whole-program analysis artifacts the reuse pipeline needs,
-    computed once per (re-)analyzed program."""
+    """All whole-program analysis artifacts the reuse pipeline needs.
 
-    def __init__(self, program: ast.Program) -> None:
+    Built over one :class:`~repro.minic.index.ProgramIndex` per compile
+    (built here when not given).  Per-function facts (the CFG, direct
+    mod/ref, liveness) are kept on the index entries; :meth:`refresh`
+    re-indexes the functions a pass created or rewrote and re-solves
+    the cheap interprocedural fixpoints, recomputing a kept fact only
+    when an answer it read from them changed.
+    """
+
+    def __init__(self, program: ast.Program, index: Optional[ProgramIndex] = None) -> None:
         self.program = program
-        self.points_to = PointsTo(program)
-        self.modref = ModRef(program, self.points_to)
-        self.callgraph = CallGraph(program, self.points_to)
+        self.index = index if index is not None else ProgramIndex(program)
+        self._solve()
+
+    def refresh(self, changed=()) -> None:
+        """Re-derive every fact after the ``changed`` functions were
+        created or rewritten and resolved (with
+        :func:`~repro.minic.sema.resolve_functions`, which also re-derives
+        global constness and clears their facts).  Names already
+        re-indexed may be left out."""
+        if changed:
+            self.index.refresh(changed)
+        self._solve()
+
+    def _solve(self) -> None:
+        program = self.program
+        index = self.index
+        self.points_to = PointsTo(program, index)
+        self.modref = ModRef(program, self.points_to, index)
+        self.callgraph = CallGraph(program, self.points_to, index)
         self.global_symbols = {
             g.decl.symbol for g in program.globals if g.decl.symbol is not None
         }
@@ -68,18 +92,32 @@ class ProgramAnalysis:
         self.cfgs: dict[str, CFG] = {}
         self.liveness: dict[str, Liveness] = {}
         for fn in program.functions:
-            cfg = build_cfg(fn)
+            entry = index.function(fn.name)
+            cfg = entry.facts.get("cfg")
+            if cfg is None:
+                cfg = entry.facts["cfg"] = build_cfg(fn)
             self.cfgs[fn.name] = cfg
-            exit_live = function_exit_live(fn, program, self.points_to)
-            self.liveness[fn.name] = Liveness(cfg, self.extractor, exit_live)
+            self.liveness[fn.name] = self._liveness(entry, cfg)
         self.io_functions = self._io_functions()
+
+    def _liveness(self, entry: FunctionIndex, cfg: CFG) -> Liveness:
+        exit_live = function_exit_live(entry.fn, self.program, self.points_to)
+        cached = entry.facts.get("liveness")
+        if cached is not None:
+            live, log, live_at_exit = cached
+            if live_at_exit == exit_live and answers_hold(log, self.points_to, self.modref):
+                return live
+        log: list = []
+        live = Liveness(cfg, self.extractor.recording(log), exit_live)
+        entry.facts["liveness"] = (live, log, exit_live)
+        return live
 
     def _io_functions(self) -> set[str]:
         """Functions that may perform I/O, directly or transitively."""
         direct: set[str] = set()
         for fn in self.program.functions:
-            for node in ast.walk(fn.body):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            for node in self.index.function(fn.name).bucket("calls"):
+                if isinstance(node.func, ast.Name):
                     if node.func.symbol is None and node.func.name in _IO_BUILTINS:
                         direct.add(fn.name)
                         break
@@ -162,17 +200,17 @@ def _region_escapes(region_root: ast.Block) -> bool:
     return any(visit(s, 0) for s in region_root.stmts)
 
 
-def _calls_in(region_root: ast.Node) -> list[str]:
+def _calls_in(region_root: ast.Node, index: ProgramIndex) -> list[str]:
     """Names called in the region, deduplicated, in ``ast.walk`` order (so
     a rejection reason never depends on set iteration order)."""
     names: dict[str, None] = {}
-    for node in ast.walk(region_root):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+    for node in index.within(region_root, "calls"):
+        if isinstance(node.func, ast.Name):
             names[node.func.name] = None
     return list(names)
 
 
-def _must_defined_at_exit(cfg: CFG, region: set[int], analysis: ProgramAnalysis) -> frozenset:
+def _must_defined_at_exit(cfg: CFG, region: set[int], use_defs) -> frozenset:
     """Symbols strongly defined on *every* path through the region."""
     defs: dict[int, frozenset] = {}
     for nid in region:
@@ -180,9 +218,9 @@ def _must_defined_at_exit(cfg: CFG, region: set[int], analysis: ProgramAnalysis)
         if node.ast_node is None:
             defs[nid] = frozenset()
         elif isinstance(node.ast_node, ast.Stmt):
-            defs[nid] = frozenset(analysis.extractor.of_stmt(node.ast_node).defs)
+            defs[nid] = frozenset(use_defs.of_stmt(node.ast_node).defs)
         else:
-            defs[nid] = frozenset(analysis.extractor.of_expr(node.ast_node).defs)
+            defs[nid] = frozenset(use_defs.of_expr(node.ast_node).defs)
 
     entries = cfg.region_entries(region)
     # forward, intersection meet; initialize to "all" (top)
@@ -241,7 +279,7 @@ def _analyze_segment(segment: Segment, analysis: ProgramAnalysis) -> None:
         segment.feasible = False
         segment.reject_reason = "break/continue/return escapes the region"
         return
-    called = _calls_in(segment.region_root)
+    called = _calls_in(segment.region_root, analysis.index)
     for name in called:
         if name in _IO_BUILTINS:
             segment.feasible = False
@@ -257,13 +295,13 @@ def _analyze_segment(segment: Segment, analysis: ProgramAnalysis) -> None:
             return
 
     # inputs ------------------------------------------------------------------
-    input_syms = segment_inputs(cfg, region, analysis.extractor, analysis.invariants)
     live = analysis.liveness[fn_name]
+    input_syms = segment_inputs(cfg, region, live.use_defs, analysis.invariants)
     output_syms = set(live.region_outputs(region))
 
     # outputs not must-defined also become inputs (their entry value
     # affects their exit value)
-    must = _must_defined_at_exit(cfg, region, analysis)
+    must = _must_defined_at_exit(cfg, region, live.use_defs)
     extra_inputs = {s for s in output_syms if s not in must}
     input_syms = frozenset(input_syms | extra_inputs)
 
@@ -339,7 +377,7 @@ def enumerate_segments(analysis: ProgramAnalysis) -> list[Segment]:
             pass
         else:
             new_segment("function", fn, fn.body, fn)
-        for node in ast.walk(fn.body):
+        for node in analysis.index.function(fn.name).bucket("conds"):
             if isinstance(node, (ast.While, ast.DoWhile, ast.For)):
                 new_segment("loop", fn, node.body, node)
             elif isinstance(node, ast.If):

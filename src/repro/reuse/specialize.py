@@ -11,6 +11,12 @@ This is exactly the paper's ``quan`` story: the original takes
 ``(val, table, size)``; at most call sites ``size == 15`` and ``table``
 is (a copy of) the invariant ``power2``, so the specialized version has
 the single input ``val``.
+
+The specializer reads and maintains the compile's
+:class:`~repro.minic.index.ProgramIndex`: a clone is indexed when it is
+created and a caller when its call sites are rewritten.  It reports the
+functions it created and the call sites it rewrote, which is all that
+:func:`~repro.minic.sema.resolve_functions` has to resolve afterwards.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..minic import astnodes as ast
+from ..minic.index import ProgramIndex
 from ..minic.types import ArrayType
 
 MAX_VERSIONS_PER_FUNCTION = 4
@@ -49,10 +56,19 @@ class SpecializationRecord:
 
 
 class Specializer:
-    def __init__(self, program: ast.Program, invariants: frozenset) -> None:
+    def __init__(
+        self,
+        program: ast.Program,
+        invariants: frozenset,
+        index: Optional[ProgramIndex] = None,
+    ) -> None:
         self.program = program
+        self.index = index if index is not None else ProgramIndex(program)
         self.invariant_names = {s.name for s in invariants}
         self.records: list[SpecializationRecord] = []
+        # the clones made, and the call sites rewritten to call them
+        self.created: list[ast.Function] = []
+        self.rewritten_calls: list[ast.Call] = []
         self._version_counter: dict[str, int] = {}
 
     # -- binding detection ----------------------------------------------------
@@ -111,10 +127,9 @@ class Specializer:
     def _direct_calls_to(self, name: str) -> list[ast.Call]:
         result = []
         for fn in self.program.functions:
-            for node in ast.walk(fn.body):
+            for node in self.index.function(fn.name).bucket("calls"):
                 if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
+                    isinstance(node.func, ast.Name)
                     and node.func.name == name
                     and node.func.symbol is not None
                     and node.func.symbol.kind == "func"
@@ -126,9 +141,8 @@ class Specializer:
         """True if the function declares locals that would capture the
         rewritten global references (conservative bail-out)."""
         local_names = {p.name for p in fn.params}
-        for node in ast.walk(fn.body):
-            if isinstance(node, ast.VarDecl):
-                local_names.add(node.name)
+        for stmt in self.index.function(fn.name).bucket("decls"):
+            local_names.update(decl.name for decl in stmt.decls)
         return bool(local_names & self.invariant_names)
 
     def _create_version(
@@ -157,12 +171,16 @@ class Specializer:
         ]
         _substitute_names(clone.body, substitutions)
         self.program.functions.append(clone)
+        self.created.append(clone)
 
+        callers = [self.index.owner(call).name for call in sites]
         for call in sites:
             call.func = ast.Name(name=new_name, line=call.line)
             call.args = [
                 a for i, a in enumerate(call.args) if i not in bound_positions
             ]
+        self.rewritten_calls.extend(sites)
+        self.index.refresh([new_name, *callers])
         return SpecializationRecord(
             original=fn.name,
             specialized=new_name,
@@ -188,17 +206,34 @@ def _substitute_names(block: ast.Block, substitutions: dict[str, ast.Expr]) -> N
             expr.args = [sub_expr(a) for a in expr.args]
         return expr
 
-    for node in list(ast.walk(block)):
-        if isinstance(node, ast.ExprStmt):
-            node.expr = sub_expr(node.expr)
-        elif isinstance(node, ast.Return) and node.value is not None:
-            node.value = sub_expr(node.value)
-        elif isinstance(node, ast.VarDecl) and node.init is not None:
-            node.init = sub_expr(node.init)
-        elif isinstance(node, (ast.If, ast.While, ast.DoWhile)):
-            node.cond = sub_expr(node.cond)
-        elif isinstance(node, ast.For):
-            if node.cond is not None:
-                node.cond = sub_expr(node.cond)
-            if node.step is not None:
-                node.step = sub_expr(node.step)
+    def sub_stmt(stmt: ast.Stmt) -> None:
+        if isinstance(stmt, ast.ExprStmt):
+            stmt.expr = sub_expr(stmt.expr)
+        elif isinstance(stmt, ast.Return):
+            if stmt.value is not None:
+                stmt.value = sub_expr(stmt.value)
+        elif isinstance(stmt, ast.DeclStmt):
+            for decl in stmt.decls:
+                if decl.init is not None:
+                    decl.init = sub_expr(decl.init)
+        elif isinstance(stmt, ast.Block):
+            for inner in stmt.stmts:
+                sub_stmt(inner)
+        elif isinstance(stmt, ast.If):
+            stmt.cond = sub_expr(stmt.cond)
+            sub_stmt(stmt.then)
+            if stmt.els is not None:
+                sub_stmt(stmt.els)
+        elif isinstance(stmt, (ast.While, ast.DoWhile)):
+            stmt.cond = sub_expr(stmt.cond)
+            sub_stmt(stmt.body)
+        elif isinstance(stmt, ast.For):
+            if stmt.init is not None:
+                sub_stmt(stmt.init)
+            if stmt.cond is not None:
+                stmt.cond = sub_expr(stmt.cond)
+            if stmt.step is not None:
+                stmt.step = sub_expr(stmt.step)
+            sub_stmt(stmt.body)
+
+    sub_stmt(block)

@@ -40,7 +40,7 @@ def _stmt_is_clean(stmt: ast.Stmt, analysis: ProgramAnalysis) -> bool:
     """No escaping control flow, no I/O, not already instrumented."""
     if _region_escapes(ast.Block(stmts=[stmt])):
         return False
-    for name in _calls_in(stmt):
+    for name in _calls_in(stmt, analysis.index):
         if name in _IO_BUILTINS or name.startswith("__reuse"):
             return False
         if name in analysis.io_functions:
@@ -165,7 +165,7 @@ def enumerate_subsegments(
     if granularity is None:
         from .granularity import GranularityAnalysis
 
-        granularity = GranularityAnalysis(analysis.program)
+        granularity = GranularityAnalysis(analysis.program, index=analysis.index)
     new_segments: list[Segment] = []
     for segment in segments:
         if segment.feasible:

@@ -199,6 +199,14 @@ def _site_charges(meta, *fixed) -> list[tuple[int, int]]:
 
 
 def _aggregate_words(value) -> list[int]:
+    # a flat int array (the common key operand) in one pass; floats,
+    # nested arrays and non-int items raise TypeError and take the
+    # element-by-element path, as do pointer-offset tuples and non-arrays
+    if type(value) is list:
+        try:
+            return [item & 4294967295 for item in value]
+        except TypeError:
+            pass
     words: list[int] = []
     _flatten_aggregate(words, value)
     return words
