@@ -133,7 +133,5 @@ class ModRef:
         }
 
 
-def analyze_modref(
-    program: ast.Program, points_to: PointsTo, index: Optional[ProgramIndex] = None
-) -> ModRef:
-    return ModRef(program, points_to, index)
+def analyze_modref(program: ast.Program, points_to: PointsTo) -> ModRef:
+    return ModRef(program, points_to)

@@ -309,6 +309,6 @@ class PointsTo:
         }
 
 
-def analyze_pointers(program: ast.Program, index: Optional[ProgramIndex] = None) -> PointsTo:
+def analyze_pointers(program: ast.Program) -> PointsTo:
     """Run the global pointer analysis."""
-    return PointsTo(program, index)
+    return PointsTo(program)

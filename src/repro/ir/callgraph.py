@@ -93,9 +93,5 @@ class CallGraph:
         return seen
 
 
-def build_callgraph(
-    program: ast.Program,
-    points_to: Optional[PointsTo] = None,
-    index: Optional[ProgramIndex] = None,
-) -> CallGraph:
-    return CallGraph(program, points_to, index)
+def build_callgraph(program: ast.Program, points_to: Optional[PointsTo] = None) -> CallGraph:
+    return CallGraph(program, points_to)

@@ -23,7 +23,8 @@ exactly that function's facts; a fact that also read interprocedural
 state keeps the answers it read and is re-checked against the new state
 by its consumer.
 
-The index holds no symbols, so it may be built before semantic analysis.
+The structure reads no symbols, so the index may be built before semantic
+analysis.
 """
 
 from __future__ import annotations

@@ -82,33 +82,6 @@ class SemanticAnalyzer:
         mark_constant_globals(self.program, index)
         return self.program
 
-    def resolve(
-        self,
-        functions: list[ast.Function],
-        calls: list[ast.Call],
-        index: ProgramIndex,
-    ) -> None:
-        """Resolve ``functions`` and the callee names of ``calls``
-        against the existing global and function symbols."""
-        for g in self.program.globals:
-            assert g.decl.symbol is not None
-            self.global_scope.define(g.decl.symbol)
-        for fn in self.program.functions:
-            if fn.symbol is None:
-                self._declare_function(fn)
-            else:
-                self.global_scope.define(fn.symbol)
-        for fn in functions:
-            self._resolve_function(fn)
-            index.function(fn.name).facts.clear()
-        for call in calls:
-            self._resolve_expr(call.func, self.global_scope)
-            self._check_call_arity(call)
-            owner = index.owner(call)
-            if owner is not None:
-                owner.facts.clear()
-        mark_constant_globals(self.program, index)
-
     # -- pass 1: global declarations --------------------------------------
 
     def _declare_globals(self) -> None:
@@ -453,4 +426,20 @@ def resolve_functions(
     without a symbol, such as a specialized clone, is declared) and the
     callee names of ``calls``.  Every other Symbol object is kept.
     Global constness is re-derived from every function's facts."""
-    SemanticAnalyzer(program).resolve(list(functions), list(calls), index)
+    analyzer = SemanticAnalyzer(program)
+    scope = analyzer.global_scope
+    for g in program.globals:
+        scope.define(g.decl.symbol)
+    for fn in program.functions:
+        if fn.symbol is None:
+            analyzer._declare_function(fn)
+        else:
+            scope.define(fn.symbol)
+    for fn in functions:
+        analyzer._resolve_function(fn)
+        index.function(fn.name).facts.clear()
+    for call in calls:
+        analyzer._resolve_expr(call.func, scope)
+        analyzer._check_call_arity(call)
+        index.owner(call).facts.clear()
+    mark_constant_globals(program, index)

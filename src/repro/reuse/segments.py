@@ -53,28 +53,19 @@ class ProgramAnalysis:
 
     Built over one :class:`~repro.minic.index.ProgramIndex` per compile
     (built here when not given).  Per-function facts (the CFG, direct
-    mod/ref, liveness) are kept on the index entries; :meth:`refresh`
-    re-indexes the functions a pass created or rewrote and re-solves
-    the cheap interprocedural fixpoints, recomputing a kept fact only
-    when an answer it read from them changed.
+    mod/ref, liveness) are kept on the index entries, so :meth:`refresh`
+    after a pass re-indexed and re-resolved the functions it created or
+    rewrote re-solves the cheap interprocedural fixpoints and recomputes
+    a kept fact only when an answer it read from them changed.
     """
 
     def __init__(self, program: ast.Program, index: Optional[ProgramIndex] = None) -> None:
         self.program = program
         self.index = index if index is not None else ProgramIndex(program)
-        self._solve()
+        self.refresh()
 
-    def refresh(self, changed=()) -> None:
-        """Re-derive every fact after the ``changed`` functions were
-        created or rewritten and resolved (with
-        :func:`~repro.minic.sema.resolve_functions`, which also re-derives
-        global constness and clears their facts).  Names already
-        re-indexed may be left out."""
-        if changed:
-            self.index.refresh(changed)
-        self._solve()
-
-    def _solve(self) -> None:
+    def refresh(self) -> None:
+        """(Re-)solve every fact over the index's current functions."""
         program = self.program
         index = self.index
         self.points_to = PointsTo(program, index)
@@ -104,12 +95,14 @@ class ProgramAnalysis:
         exit_live = function_exit_live(entry.fn, self.program, self.points_to)
         cached = entry.facts.get("liveness")
         if cached is not None:
-            live, log, live_at_exit = cached
-            if live_at_exit == exit_live and answers_hold(log, self.points_to, self.modref):
+            live, log = cached
+            if answers_hold(log, self.points_to, self.modref):
+                live = live.with_exit(exit_live)
+                entry.facts["liveness"] = (live, log)
                 return live
         log: list = []
         live = Liveness(cfg, self.extractor.recording(log), exit_live)
-        entry.facts["liveness"] = (live, log, exit_live)
+        entry.facts["liveness"] = (live, log)
         return live
 
     def _io_functions(self) -> set[str]:
