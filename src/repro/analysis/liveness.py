@@ -56,7 +56,6 @@ class Liveness:
         exit_live: frozenset = frozenset(),
     ) -> None:
         self.cfg = cfg
-        self.extractor = extractor
         self._node_ud = {}
         by_node = {}
         gen: dict[int, frozenset] = {}

@@ -58,11 +58,11 @@ class FunctionIndex:
 
     ``nodes[i]`` is the i-th node walked, ``pos`` maps ``id(node)`` back
     to ``i``, and ``end[i]`` is one past the last node of ``nodes[i]``'s
-    subtree.  ``buckets[name]`` holds the pre-order numbers of a bucket's
-    nodes (ascending).
+    subtree.  ``numbers[name]`` holds the pre-order numbers of a
+    bucket's nodes (ascending), ``buckets[name]`` the nodes themselves.
     """
 
-    __slots__ = ("fn", "nodes", "pos", "end", "buckets", "facts")
+    __slots__ = ("fn", "nodes", "pos", "end", "numbers", "buckets", "facts")
 
     def __init__(self, fn: ast.Function) -> None:
         self.fn = fn
@@ -70,7 +70,7 @@ class FunctionIndex:
         pos: dict[int, int] = {}
         parent_at: dict[int, int] = {}
         parent: list[int] = []
-        buckets: dict[str, list[int]] = {name: [] for name in BUCKETS}
+        numbers: dict[str, list[int]] = {name: [] for name in BUCKETS}
         slots = ast._CHILD_SLOTS
         for node in ast.walk(fn.body):
             i = len(nodes)
@@ -80,7 +80,7 @@ class FunctionIndex:
             parent.append(parent_at.pop(key, -1))
             cls = type(node)
             for name in _BUCKETS_OF.get(cls, ()):
-                buckets[name].append(i)
+                numbers[name].append(i)
             for name in (slots.get(cls) or _child_slots(cls))[0]:
                 value = getattr(node, name)
                 if isinstance(value, ast.Node):
@@ -97,17 +97,13 @@ class FunctionIndex:
         self.nodes = nodes
         self.pos = pos
         self.end = end
-        self.buckets = buckets
+        self.numbers = numbers
+        self.buckets = {name: [nodes[i] for i in at] for name, at in numbers.items()}
         self.facts: dict[str, object] = {}
 
-    @property
-    def name(self) -> str:
-        return self.fn.name
-
     def bucket(self, name: str) -> list:
-        """The bucket's nodes in walk pre-order."""
-        nodes = self.nodes
-        return [nodes[i] for i in self.buckets[name]]
+        """The bucket's nodes in walk pre-order (shared: do not mutate)."""
+        return self.buckets[name]
 
     def span(self, node: ast.Node) -> tuple[int, int]:
         """The pre-order number range ``[lo, hi)`` of ``node``'s subtree."""
@@ -117,11 +113,9 @@ class FunctionIndex:
     def within(self, node: ast.Node, name: str) -> list:
         """The bucket's nodes inside ``node``'s subtree, in pre-order."""
         lo, hi = self.span(node)
-        numbers = self.buckets[name]
-        nodes = self.nodes
+        numbers = self.numbers[name]
         start = bisect_left(numbers, lo)
-        stop = bisect_left(numbers, hi, start)
-        return [nodes[i] for i in numbers[start:stop]]
+        return self.buckets[name][start : bisect_left(numbers, hi, start)]
 
 
 class ProgramIndex:

@@ -21,7 +21,7 @@ symbol, and re-derives global constness.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import SemanticError
 from . import astnodes as ast
@@ -417,9 +417,9 @@ def analyze(program: ast.Program, index: Optional[ProgramIndex] = None) -> ast.P
 
 def resolve_functions(
     program: ast.Program,
-    functions: list[ast.Function],
+    functions: Sequence[ast.Function],
     index: ProgramIndex,
-    calls: list[ast.Call] = (),
+    calls: Sequence[ast.Call] = (),
 ) -> None:
     """Resolve only what a pass created or rewrote in an analyzed
     program: the bodies of ``functions`` (indexed already; a function

@@ -173,7 +173,7 @@ class Specializer:
         self.program.functions.append(clone)
         self.created.append(clone)
 
-        callers = [self.index.owner(call).name for call in sites]
+        callers = [self.index.owner(call).fn.name for call in sites]
         for call in sites:
             call.func = ast.Name(name=new_name, line=call.line)
             call.args = [

@@ -2,7 +2,7 @@
 
 from repro.minic import astnodes as ast
 from repro.minic import frontend, format_program
-from repro.ir.cleanup import cleanup
+from repro.ir.cleanup import CleanupPass, cleanup
 from tests.support import run_plain
 
 
@@ -138,3 +138,47 @@ def test_hoist_counter_reported():
     cp = CleanupPass(prog)
     cp.run()
     assert cp.hoisted == 2
+
+
+def _symbols_by_function(prog):
+    return {
+        fn.name: [n.symbol for n in ast.walk(fn.body) if isinstance(n, ast.Name)]
+        for fn in prog.functions
+    }
+
+
+def test_only_functions_that_hoisted_are_re_resolved():
+    prog = frontend(
+        """
+        int g;
+        int f(int x) { g = x; return x; }
+        int main(void) { int y = f(1) * f(2); return y + g; }
+        """
+    )
+    before = _symbols_by_function(prog)
+    global_symbol = prog.globals[0].decl.symbol
+    cleanup(prog)
+    after = _symbols_by_function(prog)
+    assert all(a is b for a, b in zip(after["f"], before["f"]))
+    assert prog.globals[0].decl.symbol is global_symbol
+    # main's hoisted temporaries resolve to new locals; its global stays
+    names = [n for n in ast.walk(prog.function("main").body) if isinstance(n, ast.Name)]
+    assert any(n.name.startswith("__cu") and n.symbol is not None for n in names)
+    assert all(n.symbol is global_symbol for n in names if n.name == "g")
+
+
+def test_nothing_to_hoist_keeps_every_symbol():
+    prog = frontend(
+        """
+        int f(int x) { return x + 1; }
+        int main(void) { int y = f(3); return y; }
+        """
+    )
+    before = _symbols_by_function(prog)
+    cp = CleanupPass(prog)
+    cp.run()
+    assert cp.hoisted == 0
+    after = _symbols_by_function(prog)
+    assert all(
+        a is b for name in before for a, b in zip(after[name], before[name], strict=True)
+    )
