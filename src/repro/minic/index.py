@@ -9,7 +9,7 @@ inside a region.  :class:`ProgramIndex` answers all of them from a single
 * every node gets its ``walk`` pre-order number and the end of its
   subtree's number range, so "is X inside R" is an interval test and
   "the calls inside R" is a slice of the function's call bucket;
-* every node maps to its owning :class:`FunctionIndex`;
+* every node's owning :class:`FunctionIndex` is the one numbering it;
 * per-class buckets (``calls``, ``assigns``, ``decls``, ``conds``, ...)
   list their nodes in walk pre-order.  Consumers rely on that order: the
   points-to analysis creates its union-find cells in visit order, and the
@@ -123,29 +123,13 @@ class ProgramIndex:
 
     def __init__(self, program: ast.Program) -> None:
         self.program = program
-        self._functions: dict[str, FunctionIndex] = {}
-        self._owner: dict[int, FunctionIndex] = {}
-        for fn in program.functions:
-            self._add(fn)
-
-    def _add(self, fn: ast.Function) -> None:
-        entry = FunctionIndex(fn)
-        self._functions[fn.name] = entry
-        owner = self._owner
-        for key in entry.pos:
-            owner[key] = entry
+        self._functions = {fn.name: FunctionIndex(fn) for fn in program.functions}
 
     def refresh(self, names: Iterable[str]) -> None:
         """Re-index the named functions (new or rewritten bodies), which
         drops their facts; every other function keeps its entry."""
         for name in dict.fromkeys(names):
-            old = self._functions.pop(name, None)
-            if old is not None:
-                owner = self._owner
-                for key in old.pos:
-                    if owner.get(key) is old:
-                        del owner[key]
-            self._add(self.program.function(name))
+            self._functions[name] = FunctionIndex(self.program.function(name))
 
     def __iter__(self) -> Iterator[FunctionIndex]:
         return iter(self._functions.values())
@@ -155,25 +139,30 @@ class ProgramIndex:
 
     def owner(self, node: ast.Node):
         """The :class:`FunctionIndex` whose body holds ``node``, or None."""
-        return self._owner.get(id(node))
+        key = id(node)
+        for entry in self._functions.values():
+            if key in entry.pos:
+                return entry
+        return None
 
     def contains(self, root: ast.Node, node: ast.Node) -> bool:
         """Whether ``node`` lies in ``root``'s subtree (inclusive).
 
         A root outside the index (a detached block wrapping in-tree
         statements) is answered through its children."""
-        entry = self._owner.get(id(root))
+        entry = self.owner(root)
         if entry is None:
             return any(self.contains(child, node) for child in root.children())
-        if self._owner.get(id(node)) is not entry:
+        at = entry.pos.get(id(node))
+        if at is None:
             return False
         lo, hi = entry.span(root)
-        return lo <= entry.pos[id(node)] < hi
+        return lo <= at < hi
 
     def within(self, root: ast.Node, name: str) -> list:
         """The bucket's nodes inside ``root``'s subtree, in walk
         pre-order (through the children of a root outside the index)."""
-        entry = self._owner.get(id(root))
+        entry = self.owner(root)
         if entry is None:
             found: list = []
             for child in root.children():
