@@ -367,6 +367,8 @@ class ReusePipeline:
             )
             annotate_costs(subs, granularity)
             segments = segments + subs
+        # keep the facts out of the profiling run's peak memory
+        analysis.release_facts()
 
         for segment in segments:
             ledger.open(segment)

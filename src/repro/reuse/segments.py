@@ -91,6 +91,16 @@ class ProgramAnalysis:
             self.liveness[fn.name] = self._liveness(entry, cfg)
         self.io_functions = self._io_functions()
 
+    def release_facts(self) -> None:
+        """Free the per-function facts (CFGs, liveness, mod/ref records)
+        once no stage will refresh the analysis or analyze a segment; the
+        index, call graph and points-to stay for nesting and the
+        transformation."""
+        for entry in self.index:
+            entry.facts.clear()
+        self.cfgs = {}
+        self.liveness = {}
+
     def _liveness(self, entry: FunctionIndex, cfg: CFG) -> Liveness:
         exit_live = function_exit_live(entry.fn, self.program, self.points_to)
         cached = entry.facts.get("liveness")
