@@ -12,7 +12,6 @@ that exit set with :func:`function_exit_live`.
 
 from __future__ import annotations
 
-import copy
 from typing import Optional
 
 from ..minic import astnodes as ast
@@ -71,39 +70,13 @@ class Liveness:
             by_node[id(node.ast_node)] = ud
             gen[node.nid] = frozenset(ud.uses)
             kill[node.nid] = frozenset(ud.defs)  # only strong defs kill
-        self._gen = gen
-        self._kill = kill
-        self.exit_live = exit_live
-        self.result: DataflowResult = self._solve(gen, exit_live)
-        # every node's use/def sets, for the region analyses of segments
-        self.use_defs = NodeUseDefs(by_node)
-
-    def _solve(self, gen: dict, exit_live: frozenset) -> DataflowResult:
-        kill = self._kill
 
         def transfer(nid: int, out: frozenset) -> frozenset:
             return gen.get(nid, frozenset()) | (out - kill.get(nid, frozenset()))
 
-        return solve_backward(self.cfg, transfer, exit_value=exit_live)
-
-    def with_exit(self, exit_live: frozenset) -> "Liveness":
-        """This liveness under another exit-live set.  Gen/kill liveness
-        is independent per symbol, so only the symbols whose membership
-        in the exit set changed are re-solved; the rest is kept."""
-        changed = self.exit_live ^ exit_live
-        if not changed:
-            return self
-        part = self._solve(
-            {nid: uses & changed for nid, uses in self._gen.items()},
-            exit_live & changed,
-        )
-        live = copy.copy(self)
-        live.exit_live = exit_live
-        live.result = DataflowResult(
-            {n: (s - changed) | part.in_sets[n] for n, s in self.result.in_sets.items()},
-            {n: (s - changed) | part.out_sets[n] for n, s in self.result.out_sets.items()},
-        )
-        return live
+        self.result: DataflowResult = solve_backward(cfg, transfer, exit_value=exit_live)
+        # every node's use/def sets, for the region analyses of segments
+        self.use_defs = NodeUseDefs(by_node)
 
     def live_in(self, nid: int) -> frozenset:
         return self.result.in_sets[nid]

@@ -10,11 +10,6 @@ handled by plain iteration), and they feed the call-site effects in
 :mod:`repro.analysis.usedef`, which is what makes def-use chains and
 liveness *global* in the paper's sense: "there may exist a def-use chain
 whose definition and use are in different procedures".
-
-Each function's *direct* effects are a per-function fact kept on its
-:class:`~repro.minic.index.FunctionIndex` with the points-to answers they
-read; a later ModRef over a re-solved points-to keeps them when those
-answers hold and recomputes them otherwise.
 """
 
 from __future__ import annotations
@@ -22,9 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..minic import astnodes as ast
-from ..minic.index import FunctionIndex, ProgramIndex
+from ..minic.index import ProgramIndex
 from .pointer import PointsTo
-from .usedef import UseDefExtractor, answers_hold
+from .usedef import UseDefExtractor
 
 
 class _NoEffects:
@@ -69,41 +64,30 @@ class ModRef:
 
     # -- computation -------------------------------------------------------
 
-    def _direct(self, entry: FunctionIndex) -> tuple[frozenset, frozenset]:
-        """(MOD, REF) of the function's own statements and conditions,
-        externalized, ignoring its calls' effects."""
-        cached = entry.facts.get("direct_modref")
-        if cached is not None:
-            mod, ref, log = cached
-            if answers_hold(log, self.points_to, _NoEffects()):
-                return mod, ref
-        log: list = []
-        extractor = UseDefExtractor(self.points_to, modref=_NoEffects()).recording(log)
-        mod: set = set()
-        ref: set = set()
-        for node in entry.bucket("stmts"):
-            ud = extractor.of_stmt(node)
-            mod |= ud.defs | ud.weak_defs
-            ref |= ud.uses
-        for node in entry.bucket("conds"):
-            if isinstance(node, ast.For):
-                parts = [part for part in (node.cond, node.step) if part is not None]
-            else:
-                parts = [node.cond]
-            for part in parts:
-                ud = extractor.of_expr(part)
-                mod |= ud.defs | ud.weak_defs
-                ref |= ud.uses
-        fn = entry.fn
-        result = (frozenset(self._externalize(fn, mod)), frozenset(self._externalize(fn, ref)))
-        entry.facts["direct_modref"] = (*result, log)
-        return result
-
     def _compute(self, index: ProgramIndex) -> None:
+        extractor = UseDefExtractor(self.points_to, modref=_NoEffects())
         call_sites: dict[str, list] = {}
         for fn in self.program.functions:
             entry = index.function(fn.name)
-            self._mod[fn.name], self._ref[fn.name] = self._direct(entry)
+            # the function's own statements and conditions; calls'
+            # effects are added by the fixed point below
+            mod: set = set()
+            ref: set = set()
+            for node in entry.bucket("stmts"):
+                ud = extractor.of_stmt(node)
+                mod |= ud.defs | ud.weak_defs
+                ref |= ud.uses
+            for node in entry.bucket("conds"):
+                if isinstance(node, ast.For):
+                    parts = [part for part in (node.cond, node.step) if part is not None]
+                else:
+                    parts = [node.cond]
+                for part in parts:
+                    ud = extractor.of_expr(part)
+                    mod |= ud.defs | ud.weak_defs
+                    ref |= ud.uses
+            self._mod[fn.name] = frozenset(self._externalize(fn, mod))
+            self._ref[fn.name] = frozenset(self._externalize(fn, ref))
             call_sites[fn.name] = entry.bucket("calls")
 
         # Fixed point over the call graph.

@@ -13,11 +13,6 @@ Calls use interprocedural MOD/REF summaries when provided (see
 :mod:`repro.analysis.modref`); without summaries a call conservatively
 reads and weakly writes every global and every pointee of its pointer
 arguments.
-
-:meth:`UseDefExtractor.recording` logs every answer the extractor reads
-from its points-to and MOD/REF oracles, and :func:`answers_hold` checks
-such a log against re-solved oracles: a per-function fact whose answers
-all hold is still exact, so it is kept instead of recomputed.
 """
 
 from __future__ import annotations
@@ -53,14 +48,6 @@ class UseDefExtractor:
         # Fallback call effects when no MOD/REF summaries are available:
         # every non-const global may be read and written by any call.
         self.global_symbols = global_symbols or set()
-
-    def recording(self, log: list) -> "UseDefExtractor":
-        """This extractor, with every oracle answer appended to ``log``."""
-        return UseDefExtractor(
-            _Logged(self.points_to, log) if self.points_to is not None else None,
-            modref=_Logged(self.modref, log) if self.modref is not None else None,
-            global_symbols=self.global_symbols,
-        )
 
     # -- statements -----------------------------------------------------------
 
@@ -239,33 +226,3 @@ class NodeUseDefs:
         return self._by_node[id(stmt)]
 
     of_expr = of_stmt
-
-
-class _Logged:
-    """Forwards an oracle's one-argument queries, logging each
-    ``(query name, argument, answer)``."""
-
-    def __init__(self, oracle, log: list) -> None:
-        self._oracle = oracle
-        self._log = log
-
-    def __getattr__(self, name: str):
-        query = getattr(self._oracle, name)
-        log = self._log
-
-        def logged(arg):
-            answer = query(arg)
-            log.append((name, arg, answer))
-            return answer
-
-        return logged
-
-
-def answers_hold(log: list, points_to, modref) -> bool:
-    """Whether every logged answer is still what the oracles answer
-    (``summary`` is asked of ``modref``, anything else of ``points_to``)."""
-    for name, arg, answer in log:
-        oracle = modref if name == "summary" else points_to
-        if getattr(oracle, name)(arg) != answer:
-            return False
-    return True

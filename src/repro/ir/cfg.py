@@ -8,11 +8,6 @@ itself, which is what lets region queries ("which CFG nodes lie inside
 this loop body?") give the paper's segment boundaries exactly — a loop's
 condition is *outside* its body segment.
 
-Nodes are created in statement order, so the nodes owned by one
-statement or block (and everything nested in it) are one contiguous id
-range; the builder records it, and region queries read it instead of
-walking the tree.
-
 The CFG drives the dataflow analyses (liveness at segment exits,
 upward-exposed reads at segment entries, reaching definitions for def-use
 chains, and the code-coverage/invariance analysis of section 2.4).
@@ -20,11 +15,13 @@ chains, and the code-coverage/invariance analysis of section 2.4).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..errors import AnalysisError
 from ..minic import astnodes as ast
+from ..minic.index import FunctionIndex
 
 ENTRY = "entry"
 EXIT = "exit"
@@ -49,11 +46,12 @@ class CFGNode:
 class CFG:
     """The control-flow graph of one function."""
 
-    def __init__(self, func: ast.Function) -> None:
+    def __init__(self, func: ast.Function, index: Optional[FunctionIndex] = None) -> None:
         self.func = func
+        self.index = index
+        # owners' pre-order numbers (ascending) and their nodes' ids
+        self._by_owner: Optional[tuple[list[int], list[int]]] = None
         self.nodes: list[CFGNode] = []
-        # id(stmt or block) -> (it, first node id, one past its last)
-        self._extents: dict[int, tuple[ast.Node, int, int]] = {}
         self.entry = self._new_node(ENTRY, None, None).nid
         self.exit = self._new_node(EXIT, None, None).nid
 
@@ -81,15 +79,20 @@ class CFG:
     def nodes_in_region(self, region_root: ast.Node) -> set[int]:
         """CFG node ids whose owner statement lies inside ``region_root``
         (inclusive).  For a loop *body* region pass the body block: the
-        loop's own condition/step nodes stay outside.  A root the builder
-        did not see (a detached block wrapping in-tree statements, an
-        expression) holds the regions of its children."""
-        extent = self._extents.get(id(region_root))
-        if extent is not None:
-            return set(range(extent[1], extent[2]))
+        loop's own condition/step nodes stay outside.  Membership is the
+        function index's: each of the root's pre-order spans selects the
+        nodes whose owner is numbered inside it."""
+        if self._by_owner is None:
+            if self.index is None:
+                self.index = FunctionIndex(self.func)
+            pos = self.index.pos
+            pairs = sorted((pos[id(n.owner)], n.nid) for n in self.nodes if n.owner is not None)
+            self._by_owner = ([at for at, _ in pairs], [nid for _, nid in pairs])
+        numbers, nids = self._by_owner
         region: set[int] = set()
-        for child in region_root.children():
-            region |= self.nodes_in_region(child)
+        for lo, hi in self.index.spans(region_root):
+            start = bisect_left(numbers, lo)
+            region.update(nids[start : bisect_left(numbers, hi, start)])
         return region
 
     def region_entries(self, region: set[int]) -> set[int]:
@@ -148,10 +151,8 @@ class _Builder:
     # falls through into the construct) and returns the new frontier.
 
     def _build_block(self, block: ast.Block, frontier: list[int]) -> list[int]:
-        start = len(self.cfg.nodes)
         for stmt in block.stmts:
             frontier = self._build_stmt(stmt, frontier)
-        self.cfg._extents[id(block)] = (block, start, len(self.cfg.nodes))
         return frontier
 
     def _link(self, node: CFGNode, frontier: list[int]) -> None:
@@ -159,12 +160,6 @@ class _Builder:
             self.cfg.add_edge(nid, node.nid)
 
     def _build_stmt(self, stmt: ast.Stmt, frontier: list[int]) -> list[int]:
-        start = len(self.cfg.nodes)
-        frontier = self._build_nodes(stmt, frontier)
-        self.cfg._extents[id(stmt)] = (stmt, start, len(self.cfg.nodes))
-        return frontier
-
-    def _build_nodes(self, stmt: ast.Stmt, frontier: list[int]) -> list[int]:
         cfg = self.cfg
         if isinstance(stmt, (ast.DeclStmt, ast.ExprStmt)):
             node = cfg._new_node(STMT, stmt, stmt)
@@ -254,8 +249,9 @@ class _Builder:
         raise AnalysisError(f"cannot build CFG for {type(stmt).__name__}")
 
 
-def build_cfg(func: ast.Function) -> CFG:
-    """Build the control-flow graph of one function."""
-    cfg = CFG(func)
+def build_cfg(func: ast.Function, index: Optional[FunctionIndex] = None) -> CFG:
+    """Build the control-flow graph of one function (``index``, the
+    function's index, answers its region queries; built when needed)."""
+    cfg = CFG(func, index)
     _Builder(cfg).build()
     return cfg

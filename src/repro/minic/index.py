@@ -16,12 +16,11 @@ inside a region.  :class:`ProgramIndex` answers all of them from a single
   first I/O call of a region names its rejection reason.
 
 Each :class:`FunctionIndex` also carries ``facts``, the per-function
-analysis results computed from it (sema's written/escaped globals, the
-CFG, direct mod/ref, liveness, ...).  :meth:`ProgramIndex.refresh`
-re-walks a function whose body was created or rewritten and so drops
-exactly that function's facts; a fact that also read interprocedural
-state keeps the answers it read and is re-checked against the new state
-by its consumer.
+results that depend on its body alone (sema's written/escaped globals and
+the CFG).  :meth:`ProgramIndex.refresh` re-walks a function whose body was
+created or rewritten and so drops exactly that function's facts.  Facts
+that read interprocedural state (mod/ref, liveness) are not kept: they are
+recomputed with it.
 
 The structure reads no symbols, so the index may be built before semantic
 analysis.
@@ -30,7 +29,7 @@ analysis.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from . import astnodes as ast
 from .astnodes import _child_slots
@@ -56,13 +55,17 @@ BUCKETS = tuple(sorted({name for names in _BUCKETS_OF.values() for name in names
 class FunctionIndex:
     """One function body in ``walk`` pre-order.
 
-    ``nodes[i]`` is the i-th node walked, ``pos`` maps ``id(node)`` back
-    to ``i``, and ``end[i]`` is one past the last node of ``nodes[i]``'s
-    subtree.  ``numbers[name]`` holds the pre-order numbers of a
-    bucket's nodes (ascending), ``buckets[name]`` the nodes themselves.
+    ``pos`` maps ``id(node)`` to the node's pre-order number ``i``, and
+    ``end[i]`` is one past the last number of its subtree.
+    ``numbers[name]`` holds the pre-order numbers of a bucket's nodes
+    (ascending), ``buckets[name]`` the nodes themselves.
+
+    Region membership is answered here and nowhere else: :meth:`spans`
+    turns a region root into number ranges, which :meth:`contains`,
+    :meth:`within` and :meth:`repro.ir.cfg.CFG.nodes_in_region` read.
     """
 
-    __slots__ = ("fn", "nodes", "pos", "end", "numbers", "buckets", "facts")
+    __slots__ = ("fn", "pos", "end", "numbers", "buckets", "facts")
 
     def __init__(self, fn: ast.Function) -> None:
         self.fn = fn
@@ -94,7 +97,6 @@ class FunctionIndex:
             p = parent[i]
             if end[i] > end[p]:
                 end[p] = end[i]
-        self.nodes = nodes
         self.pos = pos
         self.end = end
         self.numbers = numbers
@@ -105,17 +107,29 @@ class FunctionIndex:
         """The bucket's nodes in walk pre-order (shared: do not mutate)."""
         return self.buckets[name]
 
-    def span(self, node: ast.Node) -> tuple[int, int]:
-        """The pre-order number range ``[lo, hi)`` of ``node``'s subtree."""
-        lo = self.pos[id(node)]
-        return lo, self.end[lo]
+    def spans(self, root: ast.Node) -> list[tuple[int, int]]:
+        """The pre-order number ranges ``[lo, hi)`` of ``root``'s
+        subtree, in walk order.  A root outside the body (a detached block
+        wrapping in-tree statements) covers its children's ranges."""
+        lo = self.pos.get(id(root))
+        if lo is not None:
+            return [(lo, self.end[lo])]
+        return [span for child in root.children() for span in self.spans(child)]
 
-    def within(self, node: ast.Node, name: str) -> list:
-        """The bucket's nodes inside ``node``'s subtree, in pre-order."""
-        lo, hi = self.span(node)
+    def contains(self, root: ast.Node, node: ast.Node) -> bool:
+        """Whether ``node`` lies in ``root``'s subtree (inclusive)."""
+        at = self.pos.get(id(node))
+        return at is not None and any(lo <= at < hi for lo, hi in self.spans(root))
+
+    def within(self, root: ast.Node, name: str) -> list:
+        """The bucket's nodes inside ``root``'s subtree, in pre-order."""
         numbers = self.numbers[name]
-        start = bisect_left(numbers, lo)
-        return self.buckets[name][start : bisect_left(numbers, hi, start)]
+        bucket = self.buckets[name]
+        found: list = []
+        for lo, hi in self.spans(root):
+            start = bisect_left(numbers, lo)
+            found += bucket[start : bisect_left(numbers, hi, start)]
+        return found
 
 
 class ProgramIndex:
@@ -137,35 +151,10 @@ class ProgramIndex:
     def function(self, name: str) -> FunctionIndex:
         return self._functions[name]
 
-    def owner(self, node: ast.Node):
+    def owner(self, node: ast.Node) -> Optional[FunctionIndex]:
         """The :class:`FunctionIndex` whose body holds ``node``, or None."""
         key = id(node)
         for entry in self._functions.values():
             if key in entry.pos:
                 return entry
         return None
-
-    def contains(self, root: ast.Node, node: ast.Node) -> bool:
-        """Whether ``node`` lies in ``root``'s subtree (inclusive).
-
-        A root outside the index (a detached block wrapping in-tree
-        statements) is answered through its children."""
-        entry = self.owner(root)
-        if entry is None:
-            return any(self.contains(child, node) for child in root.children())
-        at = entry.pos.get(id(node))
-        if at is None:
-            return False
-        lo, hi = entry.span(root)
-        return lo <= at < hi
-
-    def within(self, root: ast.Node, name: str) -> list:
-        """The bucket's nodes inside ``root``'s subtree, in walk
-        pre-order (through the children of a root outside the index)."""
-        entry = self.owner(root)
-        if entry is None:
-            found: list = []
-            for child in root.children():
-                found.extend(self.within(child, name))
-            return found
-        return entry.within(root, name)

@@ -116,7 +116,7 @@ class GranularityAnalysis:
         trips = (bound - start + (1 if inclusive else 0)) / step
         if trips <= 0:
             return 1.0
-        if self.index.within(stmt.body, "breaks"):
+        if self.index.owner(stmt).within(stmt.body, "breaks"):
             trips = max(1.0, trips / 2.0)
         return trips
 

@@ -29,9 +29,10 @@ from .cost_model import prefer_inner
 from .segments import ProgramAnalysis, Segment
 
 
-def _region_call_names(region_root: ast.Node, analysis: ProgramAnalysis) -> set[str]:
+def _region_call_names(segment: Segment, analysis: ProgramAnalysis) -> set[str]:
     names: set[str] = set()
-    for node in analysis.index.within(region_root, "calls"):
+    entry = analysis.index.function(segment.func_name)
+    for node in entry.within(segment.region_root, "calls"):
         names |= analysis.points_to.call_targets(node)
     return names
 
@@ -66,14 +67,15 @@ class NestingGraph:
             for fn in self.analysis.program.functions
         }
         for outer in segments:
-            called = _region_call_names(outer.region_root, self.analysis)
+            called = _region_call_names(outer, self.analysis)
+            entry = self.analysis.index.function(outer.func_name)
             called_closure: set[str] = set()
             for name in called:
                 called_closure |= reachable.get(name, {name})
             for inner in segments:
                 if inner.seg_id == outer.seg_id:
                     continue
-                if inner.func_name == outer.func_name and self.analysis.index.contains(
+                if inner.func_name == outer.func_name and entry.contains(
                     outer.region_root, inner.control
                 ):
                     self.edges[outer.seg_id].add(inner.seg_id)

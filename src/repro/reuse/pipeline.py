@@ -9,8 +9,8 @@ Steps, in order:
    bound) and the ``O/C < 1`` pre-filter;
 5. *specialization*: function segments that fail the pre-filter but have
    call-site-invariant arguments get specialized clones; only the clones
-   and the rewritten call sites are resolved, only their facts are
-   recomputed, and the interprocedural fixpoints are re-solved once;
+   and the rewritten call sites are resolved and re-indexed, and the
+   analyses are re-solved once over the kept index;
 6. one value-set profiling run of every candidate measures N, N_ds, the
    reuse rate R, and the per-execution granularity C;
 7. the frequency filter drops segments that run executed fewer than

@@ -33,7 +33,7 @@ from ..analysis.liveness import Liveness, function_exit_live
 from ..analysis.modref import ModRef
 from ..analysis.pointer import PointsTo
 from ..analysis.upward import segment_inputs
-from ..analysis.usedef import UseDefExtractor, answers_hold
+from ..analysis.usedef import UseDefExtractor
 
 # Builtins whose calls make a segment non-memoizable.
 _IO_BUILTINS = frozenset(
@@ -52,11 +52,10 @@ class ProgramAnalysis:
     """All whole-program analysis artifacts the reuse pipeline needs.
 
     Built over one :class:`~repro.minic.index.ProgramIndex` per compile
-    (built here when not given).  Per-function facts (the CFG, direct
-    mod/ref, liveness) are kept on the index entries, so :meth:`refresh`
-    after a pass re-indexed and re-resolved the functions it created or
-    rewrote re-solves the cheap interprocedural fixpoints and recomputes
-    a kept fact only when an answer it read from them changed.
+    (built here when not given).  Each function's CFG depends on its body
+    alone and is kept on its index entry, so :meth:`refresh`, after a
+    pass re-indexed and re-resolved the functions it created or rewrote,
+    rebuilds only their CFGs; every other fact is recomputed.
     """
 
     def __init__(self, program: ast.Program, index: Optional[ProgramIndex] = None) -> None:
@@ -86,34 +85,21 @@ class ProgramAnalysis:
             entry = index.function(fn.name)
             cfg = entry.facts.get("cfg")
             if cfg is None:
-                cfg = entry.facts["cfg"] = build_cfg(fn)
+                cfg = entry.facts["cfg"] = build_cfg(fn, entry)
             self.cfgs[fn.name] = cfg
-            self.liveness[fn.name] = self._liveness(entry, cfg)
+            exit_live = function_exit_live(fn, program, self.points_to)
+            self.liveness[fn.name] = Liveness(cfg, self.extractor, exit_live)
         self.io_functions = self._io_functions()
 
     def release_facts(self) -> None:
-        """Free the per-function facts (CFGs, liveness, mod/ref records)
-        once no stage will refresh the analysis or analyze a segment; the
-        index, call graph and points-to stay for nesting and the
-        transformation."""
+        """Free the per-function facts (CFGs, sema's global effects) and
+        the liveness once no stage will refresh the analysis or analyze a
+        segment; the index, call graph and points-to stay for nesting and
+        the transformation."""
         for entry in self.index:
             entry.facts.clear()
         self.cfgs = {}
         self.liveness = {}
-
-    def _liveness(self, entry: FunctionIndex, cfg: CFG) -> Liveness:
-        exit_live = function_exit_live(entry.fn, self.program, self.points_to)
-        cached = entry.facts.get("liveness")
-        if cached is not None:
-            live, log = cached
-            if answers_hold(log, self.points_to, self.modref):
-                live = live.with_exit(exit_live)
-                entry.facts["liveness"] = (live, log)
-                return live
-        log: list = []
-        live = Liveness(cfg, self.extractor.recording(log), exit_live)
-        entry.facts["liveness"] = (live, log)
-        return live
 
     def _io_functions(self) -> set[str]:
         """Functions that may perform I/O, directly or transitively."""
@@ -203,11 +189,11 @@ def _region_escapes(region_root: ast.Block) -> bool:
     return any(visit(s, 0) for s in region_root.stmts)
 
 
-def _calls_in(region_root: ast.Node, index: ProgramIndex) -> list[str]:
+def _calls_in(region_root: ast.Node, entry: FunctionIndex) -> list[str]:
     """Names called in the region, deduplicated, in ``ast.walk`` order (so
     a rejection reason never depends on set iteration order)."""
     names: dict[str, None] = {}
-    for node in index.within(region_root, "calls"):
+    for node in entry.within(region_root, "calls"):
         if isinstance(node.func, ast.Name):
             names[node.func.name] = None
     return list(names)
@@ -282,7 +268,7 @@ def _analyze_segment(segment: Segment, analysis: ProgramAnalysis) -> None:
         segment.feasible = False
         segment.reject_reason = "break/continue/return escapes the region"
         return
-    called = _calls_in(segment.region_root, analysis.index)
+    called = _calls_in(segment.region_root, analysis.index.function(fn_name))
     for name in called:
         if name in _IO_BUILTINS:
             segment.feasible = False

@@ -206,34 +206,17 @@ def _substitute_names(block: ast.Block, substitutions: dict[str, ast.Expr]) -> N
             expr.args = [sub_expr(a) for a in expr.args]
         return expr
 
-    def sub_stmt(stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.ExprStmt):
-            stmt.expr = sub_expr(stmt.expr)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                stmt.value = sub_expr(stmt.value)
-        elif isinstance(stmt, ast.DeclStmt):
-            for decl in stmt.decls:
-                if decl.init is not None:
-                    decl.init = sub_expr(decl.init)
-        elif isinstance(stmt, ast.Block):
-            for inner in stmt.stmts:
-                sub_stmt(inner)
-        elif isinstance(stmt, ast.If):
-            stmt.cond = sub_expr(stmt.cond)
-            sub_stmt(stmt.then)
-            if stmt.els is not None:
-                sub_stmt(stmt.els)
-        elif isinstance(stmt, (ast.While, ast.DoWhile)):
-            stmt.cond = sub_expr(stmt.cond)
-            sub_stmt(stmt.body)
-        elif isinstance(stmt, ast.For):
-            if stmt.init is not None:
-                sub_stmt(stmt.init)
-            if stmt.cond is not None:
-                stmt.cond = sub_expr(stmt.cond)
-            if stmt.step is not None:
-                stmt.step = sub_expr(stmt.step)
-            sub_stmt(stmt.body)
-
-    sub_stmt(block)
+    for node in list(ast.walk(block)):
+        if isinstance(node, ast.ExprStmt):
+            node.expr = sub_expr(node.expr)
+        elif isinstance(node, ast.Return) and node.value is not None:
+            node.value = sub_expr(node.value)
+        elif isinstance(node, ast.VarDecl) and node.init is not None:
+            node.init = sub_expr(node.init)
+        elif isinstance(node, (ast.If, ast.While, ast.DoWhile)):
+            node.cond = sub_expr(node.cond)
+        elif isinstance(node, ast.For):
+            if node.cond is not None:
+                node.cond = sub_expr(node.cond)
+            if node.step is not None:
+                node.step = sub_expr(node.step)

@@ -25,6 +25,7 @@ extension beyond the published scheme.
 from __future__ import annotations
 
 from ..minic import astnodes as ast
+from ..minic.index import FunctionIndex
 from .hashing_cost import hashing_overhead
 from .segments import (
     ProgramAnalysis,
@@ -36,11 +37,11 @@ from .segments import (
 )
 
 
-def _stmt_is_clean(stmt: ast.Stmt, analysis: ProgramAnalysis) -> bool:
+def _stmt_is_clean(stmt: ast.Stmt, entry: FunctionIndex, analysis: ProgramAnalysis) -> bool:
     """No escaping control flow, no I/O, not already instrumented."""
     if _region_escapes(ast.Block(stmts=[stmt])):
         return False
-    for name in _calls_in(stmt, analysis.index):
+    for name in _calls_in(stmt, entry):
         if name in _IO_BUILTINS or name.startswith("__reuse"):
             return False
         if name in analysis.io_functions:
@@ -65,12 +66,13 @@ def _symbols_read(stmts: list[ast.Stmt]) -> set:
     return symbols
 
 
-def _candidate_ranges(block: ast.Block, analysis: ProgramAnalysis):
+def _candidate_ranges(block: ast.Block, func_name: str, analysis: ProgramAnalysis):
     """Yield every (start, end) sub-range of clean statements whose
     declarations do not leak past the range (wrapping stays scope-safe).
     Proper sub-ranges only."""
     n = len(block.stmts)
-    clean = [_stmt_is_clean(s, analysis) for s in block.stmts]
+    entry = analysis.index.function(func_name)
+    clean = [_stmt_is_clean(s, entry, analysis) for s in block.stmts]
     for start in range(n):
         if not clean[start]:
             continue
@@ -175,7 +177,7 @@ def enumerate_subsegments(
             continue
         block = segment.region_root
         best: tuple[float, Segment, int, int] | None = None
-        for start, end in _candidate_ranges(block, analysis):
+        for start, end in _candidate_ranges(block, segment.func_name, analysis):
             scored = _score_range(
                 block, start, end, analysis, granularity, segment, next_id
             )
