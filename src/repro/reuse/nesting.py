@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..minic import astnodes as ast
 from ..ir.scc import condense, topological_order
 from .cost_model import prefer_inner
 from .segments import ProgramAnalysis, Segment
