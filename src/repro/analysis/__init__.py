@@ -2,11 +2,10 @@
 
 from .arrays import IOShape, shape_of, total_words
 from .coverage import BetweenExecutions, invariant_globals
-from .dataflow import DataflowResult, gen_kill_transfer, solve_backward, solve_forward
+from .dataflow import DataflowResult, solve_backward
 from .liveness import Liveness, function_exit_live
 from .modref import ModRef, analyze_modref
 from .pointer import PointsTo, analyze_pointers
-from .reaching import ReachingDefinitions
 from .upward import segment_inputs, upward_exposed
 from .usedef import UseDef, UseDefExtractor
 
@@ -17,16 +16,13 @@ __all__ = [
     "BetweenExecutions",
     "invariant_globals",
     "DataflowResult",
-    "gen_kill_transfer",
     "solve_backward",
-    "solve_forward",
     "Liveness",
     "function_exit_live",
     "ModRef",
     "analyze_modref",
     "PointsTo",
     "analyze_pointers",
-    "ReachingDefinitions",
     "segment_inputs",
     "upward_exposed",
     "UseDef",

@@ -1,67 +1,28 @@
 """Generic iterative dataflow framework over statement-level CFGs.
 
-A worklist solver for forward and backward set-based problems.  Clients
-supply per-node transfer functions (gen/kill over symbol sets) and a meet
-(union for the may-problems used here).  All client analyses — liveness,
-upward-exposed reads, reaching definitions, and the code-coverage
-invariance analysis — instantiate this solver.
+A worklist solver for backward set-based problems.  Clients supply
+per-node transfer functions (gen/kill over symbol sets); the meet is
+union, for the may-problems used here.  Liveness instantiates this
+solver; upward exposure solves the same backward equations over a
+region's subgraph in :mod:`repro.analysis.upward`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Callable
 
 from ..ir.cfg import CFG
-
-T = TypeVar("T", bound=Hashable)
 
 Transfer = Callable[[int, frozenset], frozenset]
 
 
-class DataflowResult(Generic[T]):
+class DataflowResult:
     """Per-node IN/OUT sets of a solved dataflow problem."""
 
     def __init__(self, in_sets: dict[int, frozenset], out_sets: dict[int, frozenset]) -> None:
         self.in_sets = in_sets
         self.out_sets = out_sets
-
-    def live_in(self, nid: int) -> frozenset:
-        return self.in_sets[nid]
-
-    def live_out(self, nid: int) -> frozenset:
-        return self.out_sets[nid]
-
-
-def solve_forward(
-    cfg: CFG,
-    transfer: Transfer,
-    entry_value: frozenset = frozenset(),
-) -> DataflowResult:
-    """Solve a forward may-problem: IN(n) = U OUT(p); OUT(n) = f_n(IN(n))."""
-    in_sets: dict[int, frozenset] = {n.nid: frozenset() for n in cfg}
-    out_sets: dict[int, frozenset] = {n.nid: frozenset() for n in cfg}
-    in_sets[cfg.entry] = entry_value
-    out_sets[cfg.entry] = transfer(cfg.entry, entry_value)
-    worklist = deque(cfg.reverse_postorder())
-    queued = set(worklist)
-    while worklist:
-        nid = worklist.popleft()
-        queued.discard(nid)
-        node = cfg.node(nid)
-        if node.preds:
-            new_in = frozenset().union(*(out_sets[p] for p in node.preds))
-        else:
-            new_in = entry_value if nid == cfg.entry else frozenset()
-        in_sets[nid] = new_in
-        new_out = transfer(nid, new_in)
-        if new_out != out_sets[nid]:
-            out_sets[nid] = new_out
-            for succ in node.succs:
-                if succ not in queued:
-                    worklist.append(succ)
-                    queued.add(succ)
-    return DataflowResult(in_sets, out_sets)
 
 
 def solve_backward(
@@ -95,11 +56,3 @@ def solve_backward(
                     queued.add(pred)
     return DataflowResult(in_sets, out_sets)
 
-
-def gen_kill_transfer(gen: dict[int, frozenset], kill: dict[int, frozenset]) -> Transfer:
-    """The classic transfer ``f(x) = gen U (x - kill)``."""
-
-    def transfer(nid: int, x: frozenset) -> frozenset:
-        return gen.get(nid, frozenset()) | (x - kill.get(nid, frozenset()))
-
-    return transfer

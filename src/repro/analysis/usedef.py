@@ -30,9 +30,6 @@ class UseDef:
     defs: set[ast.Symbol] = field(default_factory=set)
     weak_defs: set[ast.Symbol] = field(default_factory=set)
 
-    def all_defs(self) -> set[ast.Symbol]:
-        return self.defs | self.weak_defs
-
 
 class UseDefExtractor:
     """Extracts use/def sets; one instance per program analysis session."""

@@ -14,13 +14,12 @@ figure of the paper is derived from:
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from ..minic.parser import parse_program
 from ..minic.sema import analyze
-from ..obs import Tracer, get_tracer, set_tracer
+from ..obs import get_tracer
 from ..opt.pipeline import optimize
 from ..reuse.pipeline import PipelineConfig, PipelineResult, ReusePipeline
 from ..runtime.compiler import compile_program
@@ -173,7 +172,6 @@ class ExperimentRunner:
         workload: Workload,
         opt_level: str,
         inputs: Sequence,
-        capacity_override: Optional[dict] = None,
         max_table_bytes: Optional[int] = None,
     ) -> tuple[MeasuredRun, dict]:
         key = None
@@ -183,7 +181,6 @@ class ExperimentRunner:
                 workload.source,
                 asdict(self._pipeline_config(workload)),
                 opt_level,
-                capacity_override,
                 max_table_bytes,
                 inputs,
             )
@@ -305,79 +302,6 @@ class ExperimentRunner:
         self._comparisons[key] = run
         return run
 
-    # -- parallel fan-out ---------------------------------------------------
-
-    @staticmethod
-    def _normalize_config(config) -> tuple[str, str, bool, Optional[int]]:
-        """Normalize a compare_many item to picklable plain data.
-
-        Accepts a ``(workload, opt_level, alternate, max_table_bytes)``
-        tuple with trailing fields optional; ``workload`` may be a
-        :class:`Workload` or a registry name.
-        """
-        if isinstance(config, (Workload, str)):
-            config = (config,)
-        workload, *rest = config
-        name = workload.name if isinstance(workload, Workload) else workload
-        opt_level = rest[0] if len(rest) > 0 else "O0"
-        alternate = bool(rest[1]) if len(rest) > 1 else False
-        max_table_bytes = rest[2] if len(rest) > 2 else None
-        return (name, opt_level, alternate, max_table_bytes)
-
-    def compare_many(
-        self, configs: Sequence, max_workers: Optional[int] = None
-    ) -> list[ComparisonRun]:
-        """Measure many independent configurations across a process pool.
-
-        ``configs`` items are ``(workload, opt_level, alternate,
-        max_table_bytes)`` with trailing fields optional (workloads may be
-        given by registry name).  The benchmark grid is embarrassingly
-        parallel: configurations are grouped by workload (so each worker
-        pays the profiling pipeline at most once) and fanned across
-        ``ProcessPoolExecutor`` workers.  Results come back in input
-        order and are absorbed into this runner's in-memory memo; with a
-        disk cache attached, workers also persist every artifact for
-        later runs.  ``max_workers=1`` runs serially in-process (useful
-        under debuggers and in tests).
-
-        When tracing is enabled, every worker traces into its own
-        :class:`~repro.obs.Tracer`, ships the spans back as plain data,
-        and the coordinator re-parents them under its ``compare_many``
-        span — one timeline across the whole pool.
-        """
-        tracer = get_tracer()
-        normalized = [self._normalize_config(c) for c in configs]
-        groups: dict[str, list[int]] = {}
-        for idx, cfg in enumerate(normalized):
-            groups.setdefault(cfg[0], []).append(idx)
-        cache_root = str(self._cache.root) if self._cache is not None else None
-        tasks = [
-            ([normalized[i] for i in indices], cache_root, tracer.enabled)
-            for indices in groups.values()
-        ]
-        results: list[Optional[ComparisonRun]] = [None] * len(normalized)
-        with tracer.span(
-            "experiment.compare_many",
-            category="experiment",
-            configs=len(normalized),
-            tasks=len(tasks),
-        ) as parent:
-            if max_workers == 1 or len(tasks) <= 1:
-                task_results = [_compare_worker(t) for t in tasks]
-            else:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-                try:
-                    task_results = list(pool.map(_compare_worker, tasks))
-                finally:
-                    pool.shutdown()
-            for indices, (runs, payload) in zip(groups.values(), task_results):
-                tracer.absorb(payload, parent)
-                for idx, run in zip(indices, runs):
-                    results[idx] = run
-                    name, opt_level, alternate, max_table_bytes = normalized[idx]
-                    self._comparisons[(name, opt_level, alternate, max_table_bytes)] = run
-        return results  # type: ignore[return-value]
-
     # -- profiling-derived data -----------------------------------------------------
 
     def headline_segment(self, workload: Workload):
@@ -391,39 +315,6 @@ class ExperimentRunner:
     def headline_profile(self, workload: Workload):
         segment = self.headline_segment(workload)
         return self.pipeline(workload).profiles[segment.seg_id]
-
-
-def _compare_worker(task) -> tuple[list[ComparisonRun], Optional[dict]]:
-    """Process-pool entry point: measure one workload's configurations.
-
-    Takes plain data only (workload *names*, a cache root path, the trace
-    flag) because :class:`Workload` holds callables that do not pickle
-    portably.  Returns the runs plus, when tracing, the worker's
-    serialized spans for the coordinator to absorb.  The worker always
-    traces into a private tracer (restoring the previous one on exit) so
-    the serial in-process path never double-records into the
-    coordinator's tracer.
-    """
-    configs, cache_root, trace_enabled = task
-    from ..workloads.registry import get_workload
-
-    worker_tracer = Tracer(enabled=trace_enabled)
-    previous = set_tracer(worker_tracer)
-    try:
-        cache = ExperimentCache(cache_root) if cache_root is not None else None
-        runner = ExperimentRunner(cache=cache)
-        runs = [
-            runner.compare(
-                get_workload(name),
-                opt_level,
-                alternate=alternate,
-                max_table_bytes=max_table_bytes,
-            )
-            for name, opt_level, alternate, max_table_bytes in configs
-        ]
-    finally:
-        set_tracer(previous)
-    return runs, worker_tracer.serialize() if trace_enabled else None
 
 
 def harmonic_mean(values: Sequence[float]) -> float:

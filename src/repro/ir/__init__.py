@@ -1,9 +1,8 @@
-"""IR layer: CFGs, call graphs, SCCs, def-use chains, clean-up."""
+"""IR layer: CFGs, call graphs, SCCs, clean-up."""
 
 from .callgraph import CallGraph, CallSite, build_callgraph
 from .cfg import CFG, CFGNode, COND, ENTRY, EXIT, STEP, STMT, build_cfg
 from .cleanup import CleanupPass, cleanup
-from .defuse import Chain, DefUseChains, build_defuse
 from .scc import condense, strongly_connected_components, topological_order
 
 __all__ = [
@@ -20,9 +19,6 @@ __all__ = [
     "STEP",
     "CleanupPass",
     "cleanup",
-    "Chain",
-    "DefUseChains",
-    "build_defuse",
     "condense",
     "strongly_connected_components",
     "topological_order",

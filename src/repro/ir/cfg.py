@@ -9,8 +9,8 @@ this loop body?") give the paper's segment boundaries exactly — a loop's
 condition is *outside* its body segment.
 
 The CFG drives the dataflow analyses (liveness at segment exits,
-upward-exposed reads at segment entries, reaching definitions for def-use
-chains, and the code-coverage/invariance analysis of section 2.4).
+upward-exposed reads at segment entries, and the code-coverage/invariance
+analysis of section 2.4).
 """
 
 from __future__ import annotations

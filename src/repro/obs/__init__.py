@@ -3,8 +3,8 @@
 Zero-dependency and off by default.  Three pillars:
 
 * :class:`Tracer` (:mod:`repro.obs.tracer`) — process-local nested spans
-  with wall-clock and simulated-cycle attribution, pool-safe via
-  serialize/absorb; enabled explicitly or with ``REPRO_TRACE``.
+  with wall-clock and simulated-cycle attribution; enabled explicitly or
+  with ``REPRO_TRACE``.
 * :class:`DecisionLedger` (:mod:`repro.obs.ledger`) — per-candidate
   verdicts from every reuse-pipeline stage, with the numbers and margins
   behind each decision.

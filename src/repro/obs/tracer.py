@@ -9,19 +9,16 @@ half is :mod:`repro.obs.ledger`).  Design constraints, in order:
    ``REPRO_TRACE`` environment variable turns it on.  Observability must
    never change a measured number; the differential test in
    ``tests/obs/test_noop_differential.py`` enforces that.
-2. **Spans nest and travel.**  A span opened while another is active
-   becomes its child.  Workers in a process pool trace into their own
-   tracer, :meth:`Tracer.serialize` the result, and the coordinator
-   :meth:`Tracer.absorb`\\ s the payload, re-parenting the worker's root
-   spans under the coordinating span (see
-   :meth:`repro.experiments.runner.ExperimentRunner.compare_many`).
-3. **Two time axes.**  Every span records wall-clock (epoch-based, so
-   spans from different processes land on one Chrome-trace timeline) and,
+2. **Spans nest.**  A span opened while another is active becomes its
+   child.  :meth:`Tracer.serialize` snapshots the spans and events as
+   plain data, which :func:`assemble_tree` turns back into one tree.
+3. **Two time axes.**  Every span records wall-clock (epoch-based, so a
+   service's spans and its caller's line up on one timeline) and,
    when a :class:`~repro.runtime.machine.Machine` is passed, the
    simulated-cycle interval it covered (``cycles_begin``/``cycles``
    in the span args).
 
-4. **Requests travel too.**  A tracer may carry a 128-bit ``trace_id``
+4. **Requests travel.**  A tracer may carry a 128-bit ``trace_id``
    and a ``remote_parent`` span id taken from a W3C-style
    ``traceparent`` header (:func:`format_traceparent` /
    :func:`parse_traceparent`): root spans recorded by such a tracer are
@@ -269,47 +266,17 @@ class Tracer:
         self._next_id += 1
         return span_id
 
-    # -- cross-process transport ----------------------------------------------
+    # -- export ----------------------------------------------------------------
 
     def serialize(self) -> dict:
-        """Plain-data payload for shipping spans out of a worker process."""
+        """Plain-data snapshot of the spans and events recorded so far.
+
+        The lists are copied first, so a caller may snapshot a tracer
+        that another thread is still appending to."""
         return {
-            "spans": [s.to_dict() for s in self.spans],
-            "events": list(self.events),
+            "spans": [s.to_dict() for s in list(self.spans)],
+            "events": [dict(e) for e in list(self.events)],
         }
-
-    def absorb(self, payload: Optional[dict], parent: Optional[Span] = None) -> None:
-        """Merge a :meth:`serialize` payload from another tracer.
-
-        Span ids are remapped into this tracer's id space; spans that were
-        roots in the worker are re-parented under ``parent`` (when given),
-        which stitches a worker's trace beneath the coordinator's span.
-        """
-        if not payload or not self.enabled:
-            return
-        remap: dict[int, int] = {}
-        parent_id = parent.span_id if parent is not None else None
-        for doc in payload.get("spans", ()):
-            new_id = self._alloc_id()
-            remap[doc["span_id"]] = new_id
-            old_parent = doc.get("parent_id")
-            self.spans.append(
-                Span(
-                    span_id=new_id,
-                    parent_id=remap.get(old_parent, parent_id),
-                    name=doc["name"],
-                    category=doc["category"],
-                    start_us=doc["start_us"],
-                    dur_us=doc["dur_us"],
-                    pid=doc["pid"],
-                    args=dict(doc.get("args", {})),
-                    trace_id=doc.get("trace_id"),
-                )
-            )
-        for event in payload.get("events", ()):
-            event = dict(event)
-            event["parent_id"] = remap.get(event.get("parent_id"), parent_id)
-            self.events.append(event)
 
     # -- maintenance -----------------------------------------------------------
 

@@ -106,11 +106,6 @@ class SegmentProfile:
         """(input set, count) pairs, most frequent first."""
         return self.value_counts.most_common()
 
-    def key_width(self) -> int:
-        for key in self._key_ids:
-            return len(key)
-        return 0
-
 
 class ValueSetProfiler:
     """The object installed as ``machine.profiler`` during profiling runs.

@@ -303,14 +303,12 @@ class _FunctionCompiler:
             self.srcmap.sites.setdefault(seg, {})[key] = self.cur_line
 
     def _note_stmt(self, stmt: ast.Stmt) -> bool:
-        """Track the current source line; record the statement unit in
-        the debug side table.  Returns whether the statement is a
-        line-markable unit (has a line, is not a block)."""
+        """Track the current source line for :meth:`record_site`.
+        Returns whether the statement is a line-markable unit (has a
+        line, is not a block)."""
         if stmt.line <= 0 or isinstance(stmt, ast.Block):
             return False
         self.cur_line = stmt.line
-        if self.srcmap is not None:
-            self.srcmap.stmt_lines.append((stmt.line, type(stmt).__name__))
         return True
 
     def compile_stmt(self, stmt: ast.Stmt) -> StmtClosure:

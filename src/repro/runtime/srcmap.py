@@ -2,14 +2,13 @@
 
 A :class:`SourceMap` installed on a machine **before**
 :func:`~repro.runtime.compiler.compile_program` makes both backends
-record, per function, where every compiled unit came from:
+record, per function, the source lines behind what they compile:
 
 * the VM compiler records a ``(pc, line)`` entry for every emitted
   instruction, a per-line charge-class breakdown for every fused
   ``CHARGE`` group, and the source line of every reuse site
   (probe / commit / end ops);
-* the closure compiler records one ``(line, kind)`` entry per compiled
-  statement closure plus the same reuse-site lines.
+* the closure compiler records the same reuse-site lines.
 
 Recording is strictly observational — it never changes the emitted
 bytecode or closure tree (the no-observer-effect differential pins
@@ -27,7 +26,7 @@ __all__ = ["SourceMap", "FunctionSourceMap"]
 class FunctionSourceMap:
     """Debug info for one compiled function."""
 
-    __slots__ = ("name", "pc_lines", "charge_lines", "sites", "stmt_lines")
+    __slots__ = ("name", "pc_lines", "charge_lines", "sites")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -38,24 +37,6 @@ class FunctionSourceMap:
         self.charge_lines: dict[int, tuple] = {}
         # seg_id -> {"probe_line" | "commit_line" | "end_line": line}
         self.sites: dict[int, dict[str, int]] = {}
-        # closures: (line, statement kind) per compiled statement unit.
-        self.stmt_lines: list[tuple[int, str]] = []
-
-    def line_for_pc(self, pc: int) -> int:
-        """Source line of the instruction at ``pc`` (0 when unknown)."""
-        line = 0
-        for at, ln in self.pc_lines:
-            if at > pc:
-                break
-            line = ln
-        return line
-
-    def lines_used(self) -> set[int]:
-        used = {ln for _, ln in self.pc_lines if ln > 0}
-        used.update(ln for ln, _ in self.stmt_lines if ln > 0)
-        for site in self.sites.values():
-            used.update(ln for ln in site.values() if ln > 0)
-        return used
 
 
 class SourceMap:
@@ -94,7 +75,6 @@ class SourceMap:
                         for pc, entries in sorted(fn.charge_lines.items())
                     },
                     "sites": {str(s): dict(v) for s, v in sorted(fn.sites.items())},
-                    "stmt_lines": [list(e) for e in fn.stmt_lines],
                 }
                 for name, fn in sorted(self.functions.items())
             },

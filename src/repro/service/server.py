@@ -360,11 +360,8 @@ class ReuseService:
 
     def _store_trace(self, request: Request, status: int, elapsed: float) -> None:
         tracer = request.tracer
-        # snapshot: a 504'd worker may still be appending spans
-        payload = {
-            "spans": [s.to_dict() for s in list(tracer.spans)],
-            "events": [dict(e) for e in list(tracer.events)],
-        }
+        # a snapshot: a 504'd worker may still be appending spans
+        payload = tracer.serialize()
         self.traces.put(
             {
                 "trace_id": tracer.trace_id,

@@ -1,11 +1,10 @@
-"""Tests for liveness, upward-exposed reads, reaching defs, def-use,
-mod/ref, and the coverage (invariance) analysis — exercised on the
-paper's quan example and targeted snippets."""
+"""Tests for liveness, upward-exposed reads, mod/ref, and the coverage
+(invariance) analysis — exercised on the paper's quan example and
+targeted snippets."""
 
 from repro.minic import astnodes as ast
 from repro.minic import frontend
 from repro.ir.cfg import build_cfg
-from repro.ir.defuse import DefUseChains
 from repro.analysis.coverage import BetweenExecutions, invariant_globals
 from repro.analysis.liveness import Liveness, function_exit_live
 from repro.analysis.modref import analyze_modref
@@ -236,73 +235,6 @@ class TestModRef:
         assert "table" in names(inv)
         # and sema alone could not prove it
         assert not prog.global_var("table").decl.symbol.is_const
-
-
-class TestDefUse:
-    def test_chain_from_def_to_use(self):
-        prog, pt, modref, ex = build_all(
-            "int f(int a) { int x = a + 1; return x * 2; }"
-        )
-        fn = prog.function("f")
-        cfg = build_cfg(fn)
-        chains = DefUseChains(cfg, ex)
-        x = fn.body.stmts[0].decls[0].symbol
-        links = [c for c in chains.chains if c.symbol is x]
-        assert len(links) == 1
-
-    def test_entry_pseudo_def_for_params(self):
-        prog, pt, modref, ex = build_all("int f(int a) { return a; }")
-        fn = prog.function("f")
-        cfg = build_cfg(fn)
-        chains = DefUseChains(cfg, ex)
-        a = fn.params[0].symbol
-        links = [c for c in chains.chains if c.symbol is a]
-        assert links and all(c.def_node == cfg.entry for c in links)
-
-    def test_two_reaching_defs(self):
-        prog, pt, modref, ex = build_all(
-            "int f(int c) { int x; if (c) x = 1; else x = 2; return x; }"
-        )
-        fn = prog.function("f")
-        cfg = build_cfg(fn)
-        chains = DefUseChains(cfg, ex)
-        x = fn.body.stmts[0].decls[0].symbol
-        ret = next(
-            n for n in cfg
-            if n.kind == "stmt" and isinstance(n.ast_node, ast.Return)
-        )
-        assert len(chains.defs_of_use(ret.nid, x)) == 2
-
-    def test_dead_definition_detected(self):
-        prog, pt, modref, ex = build_all(
-            "int f(int a) { int t = a * 2; return a; }"
-        )
-        fn = prog.function("f")
-        cfg = build_cfg(fn)
-        chains = DefUseChains(cfg, ex)
-        dead = chains.dead_definitions()
-        assert any(s.name == "t" for _, s in dead)
-
-    def test_interprocedural_def_via_call(self):
-        # the call to setter is a (weak) def of g in the caller's chains
-        prog, pt, modref, ex = build_all(
-            """
-            int g;
-            void setter(void) { g = 5; }
-            int f(void) { setter(); return g; }
-            """
-        )
-        fn = prog.function("f")
-        cfg = build_cfg(fn)
-        chains = DefUseChains(cfg, ex)
-        g = prog.global_var("g").decl.symbol
-        ret = next(
-            n for n in cfg
-            if n.kind == "stmt" and isinstance(n.ast_node, ast.Return)
-        )
-        defs = chains.defs_of_use(ret.nid, g)
-        # at least one def comes from the call statement, not just entry
-        assert any(d.def_node != cfg.entry for d in defs)
 
 
 class TestCoverage:

@@ -1,19 +1,15 @@
-"""Tests for the experiment disk cache and the parallel runner mode."""
+"""Tests for the experiment disk cache and the cached runner."""
 
 import json
 
-
 from repro.experiments import (
-    ComparisonRun,
     ExperimentCache,
     ExperimentRunner,
     MeasuredRun,
     cache_key,
 )
-from repro.experiments.runner import _compare_worker
 from repro.runtime.hashtable import TableStats
 from repro.workloads.base import PaperNumbers, Workload
-from repro.workloads.registry import get_workload
 
 _SOURCE = """
 int lut[8] = {3, 1, 4, 1, 5, 9, 2, 6};
@@ -148,55 +144,3 @@ class TestRunnerIntegration:
         run3 = runner.compare(TINY, "O3")
         assert run0.original.cycles != run3.original.cycles
 
-
-class TestCompareMany:
-    def test_normalize_config(self):
-        norm = ExperimentRunner._normalize_config
-        assert norm("G721_encode") == ("G721_encode", "O0", False, None)
-        assert norm((TINY, "O3")) == ("TINY_CACHE", "O3", False, None)
-        assert norm(("GNUGO", "O3", True, 4096)) == ("GNUGO", "O3", True, 4096)
-
-    def test_worker_matches_compare(self, tmp_path):
-        # the process-pool entry point, run in-process (tracing off)
-        name = "G721_encode"
-        (run,), payload = _compare_worker(
-            ([(name, "O0", False, None)], str(tmp_path), False)
-        )
-        assert payload is None
-        direct = ExperimentRunner().compare(get_workload(name), "O0")
-        assert isinstance(run, ComparisonRun)
-        assert run.original == direct.original
-        assert run.transformed == direct.transformed
-
-    def test_worker_ships_spans_when_tracing(self, tmp_path):
-        name = "G721_encode"
-        (run,), payload = _compare_worker(
-            ([(name, "O0", False, None)], str(tmp_path), True)
-        )
-        assert isinstance(run, ComparisonRun)
-        assert payload is not None
-        names = {s["name"] for s in payload["spans"]}
-        assert "experiment.compare" in names
-        assert "pipeline.run" in names
-
-    def test_compare_many_serial_uses_memo(self, tmp_path):
-        runner = ExperimentRunner(cache=ExperimentCache(tmp_path))
-        configs = [("G721_encode", "O0"), ("G721_encode", "O3")]
-        runs = runner.compare_many(configs, max_workers=1)
-        assert [r.opt_level for r in runs] == ["O0", "O3"]
-        # absorbed into the in-memory memo: compare() returns the same runs
-        assert runner.compare(get_workload("G721_encode"), "O0") is runs[0]
-        assert runner.compare(get_workload("G721_encode"), "O3") is runs[1]
-
-    def test_compare_many_parallel_two_workloads(self, tmp_path):
-        runner = ExperimentRunner(cache=ExperimentCache(tmp_path))
-        configs = [("G721_encode", "O0"), ("G721_decode", "O0")]
-        runs = runner.compare_many(configs, max_workers=2)
-        assert [r.workload for r in runs] == ["G721_encode", "G721_decode"]
-        for run in runs:
-            assert run.outputs_match
-        # the pool workers persisted their artifacts for the parent
-        warm = ExperimentRunner(cache=ExperimentCache(tmp_path))
-        again = warm.compare(get_workload("G721_encode"), "O0")
-        assert again.original == runs[0].original
-        assert again.transformed == runs[0].transformed

@@ -10,7 +10,7 @@ contract.  Regenerate them by running this file as a script:
 import json
 from pathlib import Path
 
-from repro.obs import Tracer, to_chrome, to_jsonl, write_chrome_trace, write_jsonl
+from repro.obs import Span, Tracer, to_chrome, to_jsonl, write_chrome_trace, write_jsonl
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -36,10 +36,20 @@ def build_tracer() -> Tracer:
         tracer.event("cache.hit", category="cache", kind="run", key="abc123")
         with tracer.span("profile.freq", category="profiling"):
             pass
-    worker = Tracer(enabled=True, clock=StepClock(), wall=StepClock(), pid=8)
-    with worker.span("run.original", category="experiment", workload="RASTA"):
-        pass
-    tracer.absorb(worker.serialize(), tracer.spans[0])
+    # a span from a second pid under the root, so the Chrome export
+    # carries two process lanes
+    tracer.spans.append(
+        Span(
+            span_id=4,
+            parent_id=1,
+            name="run.original",
+            category="experiment",
+            start_us=100_000_000,
+            dur_us=1000,
+            pid=8,
+            args={"workload": "RASTA"},
+        )
+    )
     return tracer
 
 

@@ -1,10 +1,8 @@
 """Edge cases for the trace exporters.
 
 The golden tests (``test_export.py``) pin the happy path byte-for-byte;
-these pin the corners: exporting an empty trace, and the ordering and
-re-parenting of pool-worker spans absorbed into a coordinator tracer
-(the shape ``ExperimentRunner`` produces when its process pool returns
-serialized worker traces).
+these pin the corners: exporting an empty trace, and the ordering of
+spans and events that carry several pids.
 """
 
 import json
@@ -22,20 +20,19 @@ class StepClock:
         return value
 
 
-def _coordinator_with_workers(n_workers: int = 2) -> Tracer:
-    coordinator = Tracer(enabled=True, clock=StepClock(), wall=StepClock(), pid=1)
-    with coordinator.span("experiment.run") as root:
+def _multi_pid_tracer() -> Tracer:
+    """A span on pid 1, then a nested pair of spans and an event on each
+    of pids 10 and 11."""
+    tracer = Tracer(enabled=True, clock=StepClock(), wall=StepClock(), pid=1)
+    with tracer.span("experiment.run"):
         pass
-    for i in range(n_workers):
-        worker = Tracer(
-            enabled=True, clock=StepClock(), wall=StepClock(), pid=10 + i
-        )
-        with worker.span("run.original", workload=f"W{i}"):
-            with worker.span("machine.execute"):
+    for i in range(2):
+        with tracer.span("run.original", workload=f"W{i}") as outer:
+            with tracer.span("machine.execute") as inner:
                 pass
-        worker.event("cache.miss", category="cache", index=i)
-        coordinator.absorb(worker.serialize(), root)
-    return coordinator
+        tracer.event("cache.miss", category="cache", index=i)
+        outer.pid = inner.pid = tracer.events[-1]["pid"] = 10 + i
+    return tracer
 
 
 class TestEmptyTrace:
@@ -54,38 +51,16 @@ class TestEmptyTrace:
         assert to_chrome(tracer)["traceEvents"] == []
 
 
-class TestAbsorbedWorkers:
-    def test_worker_roots_reparented_under_coordinator_span(self):
-        coordinator = _coordinator_with_workers()
-        root = coordinator.spans[0]
-        worker_roots = [
-            s for s in coordinator.spans if s.name == "run.original"
-        ]
-        assert len(worker_roots) == 2
-        for span in worker_roots:
-            assert span.parent_id == root.span_id
-
-    def test_absorbed_ids_are_remapped_into_coordinator_space(self):
-        coordinator = _coordinator_with_workers()
-        ids = [s.span_id for s in coordinator.spans]
-        assert len(ids) == len(set(ids)), "span ids must stay unique"
-        # nested worker spans keep their worker-local parent, remapped
-        child = next(s for s in coordinator.spans if s.name == "machine.execute")
-        parent = next(
-            s for s in coordinator.spans if s.span_id == child.parent_id
-        )
-        assert parent.name == "run.original"
-
+class TestMultiPidTrace:
     def test_chrome_export_keeps_span_order_and_pids(self):
-        doc = to_chrome(_coordinator_with_workers())
+        doc = to_chrome(_multi_pid_tracer())
         events = doc["traceEvents"]
         metadata = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
         # metadata first, one per pid, sorted
         assert events[: len(metadata)] == metadata
         assert [m["pid"] for m in metadata] == [1, 10, 11]
-        # spans follow tracer order: coordinator root, then workers in
-        # absorb order (the pid distinguishes worker lanes in the UI)
+        # spans follow tracer order; the pid distinguishes lanes in the UI
         assert [s["name"] for s in spans] == [
             "experiment.run",
             "run.original", "machine.execute",
@@ -93,17 +68,11 @@ class TestAbsorbedWorkers:
         ]
         assert [s["pid"] for s in spans] == [1, 10, 10, 11, 11]
 
-    def test_absorbed_events_follow_spans_in_jsonl(self):
-        lines = to_jsonl(_coordinator_with_workers()).splitlines()
+    def test_events_follow_spans_in_jsonl(self):
+        lines = to_jsonl(_multi_pid_tracer()).splitlines()
         docs = [json.loads(line) for line in lines]
         kinds = [d["type"] for d in docs]
-        # spans first (in start order), then events — absorbed or not
+        # spans first (in start order), then events
         assert kinds == sorted(kinds, key=lambda k: k != "span")
         events = [d for d in docs if d["type"] == "event"]
         assert [e["name"] for e in events] == ["cache.miss", "cache.miss"]
-
-    def test_absorbing_empty_payload_is_a_noop(self):
-        tracer = Tracer(enabled=True)
-        tracer.absorb(None)
-        tracer.absorb({})
-        assert tracer.spans == [] and tracer.events == []

@@ -1,4 +1,4 @@
-"""Tests for the structured tracer (spans, events, pool transport)."""
+"""Tests for the structured tracer (spans, events, serialization)."""
 
 import threading
 
@@ -54,11 +54,6 @@ class TestDisabledTracer:
         tracer = Tracer(enabled=False)
         tracer.event("cache.hit", key="k")
         assert tracer.events == []
-
-    def test_absorb_is_noop(self):
-        tracer = Tracer(enabled=False)
-        tracer.absorb({"spans": [], "events": []})
-        assert tracer.spans == []
 
 
 class TestSpans:
@@ -132,43 +127,6 @@ class TestTransport:
         payload = tracer.serialize()
         assert [s["name"] for s in payload["spans"]] == ["outer", "inner"]
         assert payload["events"][0]["name"] == "tick"
-
-    def test_absorb_remaps_ids_and_reparents_roots(self):
-        worker = make_tracer(pid=43)
-        with worker.span("w.root"):
-            with worker.span("w.child"):
-                worker.event("w.event")
-        payload = worker.serialize()
-
-        coordinator = make_tracer()
-        with coordinator.span("compare_many") as parent:
-            coordinator.absorb(payload, parent)
-        by_name = {s.name: s for s in coordinator.spans}
-        root = by_name["w.root"]
-        child = by_name["w.child"]
-        # worker roots hang under the coordinating span; children follow
-        assert root.parent_id == parent.span_id
-        assert child.parent_id == root.span_id
-        # ids were remapped into the coordinator's space (no collisions)
-        ids = [s.span_id for s in coordinator.spans]
-        assert len(ids) == len(set(ids))
-        # worker identity (pid) survives for the multi-process timeline
-        assert root.pid == 43
-        (event,) = coordinator.events
-        assert event["parent_id"] == child.span_id
-
-    def test_absorb_without_parent_keeps_roots(self):
-        worker = make_tracer()
-        with worker.span("w"):
-            pass
-        coordinator = make_tracer()
-        coordinator.absorb(worker.serialize())
-        assert coordinator.spans[0].parent_id is None
-
-    def test_absorb_none_payload(self):
-        tracer = make_tracer()
-        tracer.absorb(None)
-        assert tracer.spans == []
 
 
 class TestProcessLocal:
