@@ -10,7 +10,7 @@ Run:  python examples/gnugo_merged_tables.py
 """
 
 import repro
-from repro.reuse import merged_size_bytes, unmerged_size_bytes
+from repro.runtime.hashtable import entry_words, table_bytes
 from repro.workloads import get_workload
 
 
@@ -45,9 +45,12 @@ def main():
     # size accounting for the eight segments, shared capacity
     members = result_m.merged[next(iter(result_m.merged))]
     capacity = max(m.distinct_inputs * 4 for m in members)
+    in_words, out_words = members[0].in_words, [m.out_words for m in members]
+    separate = sum(table_bytes(capacity, entry_words(in_words, [w])) for w in out_words)
+    shared = table_bytes(capacity, entry_words(in_words, out_words, merged=True))
     print("=== table sizes for the eight segments ===")
-    print(f"eight separate tables: {unmerged_size_bytes(members, capacity) // 1024} KB")
-    print(f"one merged table:      {merged_size_bytes(members, capacity) // 1024} KB")
+    print(f"eight separate tables: {separate // 1024} KB")
+    print(f"one merged table:      {shared // 1024} KB")
 
     print("\n=== with merging (section 2.5) ===")
     print(f"segments transformed: {len(result_m.selected)} (dropped: {len(result_m.dropped_for_memory)})")

@@ -93,7 +93,3 @@ class BetweenExecutions:
             if symbol in ud.defs or symbol in ud.weak_defs:
                 return True
         return False
-
-    def invariant_symbols(self, candidates: frozenset) -> frozenset:
-        """The subset of ``candidates`` invariant between executions."""
-        return frozenset(s for s in candidates if not self.modifies(s))

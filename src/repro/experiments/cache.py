@@ -53,7 +53,10 @@ from ..obs import get_tracer
 # derives N, the histogram and the LRU hit ratios from it, instead of a
 # Counter and four LRUBuffers; I/O rejection reasons in the ledger no
 # longer depend on PYTHONHASHSEED.
-CODE_VERSION = "5"
+# "6": runs with a table byte cap (figures 14/15) build their tables with
+# PipelineResult.build_tables, which also holds a merged group at its
+# uncapped capacity; cached capped runs of the old rule are stale.
+CODE_VERSION = "6"
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _DEFAULT_ROOT = ".repro_cache"

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..runtime.hashtable import pow2_ceil
 from ..runtime.jenkins import hash_key_batch
 from ..runtime.values import wrap32
 from ..workloads.base import Workload
@@ -73,7 +72,7 @@ def accessed_entry_histogram(
     segment = runner.headline_segment(workload)
     result = runner.pipeline(workload)
     spec = next(s for s in result.table_specs if s.segment_id == segment.seg_id)
-    capacity = pow2_ceil(spec.capacity)
+    capacity, _ = result.table_geometry()[spec.merged_group or spec.segment_id]
     mask = capacity - 1
     keys, key_counts = profile.key_counts()
     counts_by_entry: dict[int, int] = {}

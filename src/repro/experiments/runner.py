@@ -191,7 +191,7 @@ class ExperimentRunner:
         program = self._transformed_program(workload, opt_level)
         machine = Machine(opt_level)
         machine.set_inputs(list(inputs))
-        tables = self._build_tables(result, max_table_bytes)
+        tables = result.build_tables(max_table_bytes)
         for seg_id, table in tables.items():
             machine.install_table(seg_id, table)
         with get_tracer().span(
@@ -208,52 +208,6 @@ class ExperimentRunner:
         if self._cache is not None:
             self._cache.store_run(key, run, stats)
         return run, stats
-
-    @staticmethod
-    def _build_tables(result: PipelineResult, max_table_bytes: Optional[int]):
-        if max_table_bytes is None:
-            return result.build_tables()
-        # figures 14/15: cap every table at the given byte size
-        from ..runtime.hashtable import (
-            MergedReuseTable,
-            ReuseTable,
-            pow2_ceil,
-            pow2_floor,
-        )
-
-        tables: dict[int, object] = {}
-        merged_built: dict[str, MergedReuseTable] = {}
-        for spec in result.table_specs:
-            if spec.merged_group is not None:
-                group = merged_built.get(spec.merged_group)
-                if group is None:
-                    members = result.merged[spec.merged_group]
-                    bitvec = (len(members) + 31) // 32
-                    entry_words = (
-                        members[0].in_words
-                        + bitvec
-                        + sum(m.out_words for m in members)
-                    )
-                    capacity = max(1, max_table_bytes // (entry_words * 4))
-                    group = MergedReuseTable(
-                        spec.merged_group,
-                        capacity=pow2_floor(capacity),
-                        in_words=members[0].in_words,
-                        member_out_words={str(m.seg_id): m.out_words for m in members},
-                    )
-                    merged_built[spec.merged_group] = group
-                tables[spec.segment_id] = group.view(str(spec.segment_id))
-            else:
-                entry_words = spec.in_words + spec.out_words
-                capacity = max(1, max_table_bytes // (entry_words * 4))
-                capacity = min(pow2_floor(capacity), pow2_ceil(spec.capacity))
-                tables[spec.segment_id] = ReuseTable(
-                    str(spec.segment_id),
-                    capacity=capacity,
-                    in_words=spec.in_words,
-                    out_words=spec.out_words,
-                )
-        return tables
 
     def compare(
         self,

@@ -14,6 +14,7 @@ from typing import Optional
 
 from ..profiling.valueset import LRU_SIZES
 from ..runtime.costs import CLOCK_HZ
+from ..runtime.hashtable import entry_words, table_bytes
 from ..workloads.base import Workload
 from ..workloads.registry import ALL_WORKLOADS, PRIMARY_WORKLOADS
 from .runner import ExperimentRunner, harmonic_mean
@@ -120,12 +121,12 @@ def table5(runner: ExperimentRunner, workloads: Optional[list[Workload]] = None)
     for workload in workloads or PRIMARY_WORKLOADS:
         profile = runner.headline_profile(workload)
         segment = runner.headline_segment(workload)
-        entry_words = segment.in_words + segment.out_words
+        words = entry_words(segment.in_words, [segment.out_words])
         rows.append(
             Table5Row(
                 program=workload.name,
                 hit_ratios={size: profile.lru_hit_ratio(size) for size in LRU_SIZES},
-                buffer64_bytes=64 * entry_words * 4,
+                buffer64_bytes=table_bytes(64, words),
                 paper_hit_ratios=workload.paper.lru_hits,
             )
         )

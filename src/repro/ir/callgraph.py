@@ -60,22 +60,9 @@ class CallGraph:
     def callers(self, name: str) -> set[str]:
         return {caller for caller, callees in self.edges.items() if name in callees}
 
-    def sites_calling(self, name: str) -> list[CallSite]:
-        return [site for site in self.call_sites if name in site.callees]
-
     def sccs(self) -> list[list[str]]:
         """SCCs in reverse topological order (callees before callers)."""
         return strongly_connected_components(self.edges)
-
-    def recursive_functions(self) -> set[str]:
-        """Functions involved in recursion (self- or mutual)."""
-        result: set[str] = set()
-        for component in self.sccs():
-            if len(component) > 1:
-                result.update(component)
-            elif component[0] in self.edges.get(component[0], ()):
-                result.add(component[0])
-        return result
 
     def condensation(self):
         """(component_of, members, dag) over function names."""

@@ -73,7 +73,3 @@ _BUILTINS = [
 ]
 
 BUILTINS: dict[str, BuiltinSig] = {b.name: b for b in _BUILTINS}
-
-
-def is_builtin(name: str) -> bool:
-    return name in BUILTINS

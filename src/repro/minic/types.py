@@ -132,16 +132,8 @@ def decay(t: Type) -> Type:
     return t
 
 
-def is_integer(t: Type) -> bool:
-    return t == INT
-
-
 def is_float(t: Type) -> bool:
     return t == FLOAT
-
-
-def is_arith(t: Type) -> bool:
-    return isinstance(t, ScalarType)
 
 
 def common_arith_type(a: Type, b: Type) -> Type:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .render import render_table
+
 __all__ = ["Verdict", "SegmentRecord", "DecisionLedger"]
 
 # Stage names, in pipeline order (used for sorting and reports).  The
@@ -146,17 +148,6 @@ class DecisionLedger:
 
     # -- queries ---------------------------------------------------------------
 
-    def rejections(self) -> list[tuple[SegmentRecord, Verdict]]:
-        """(record, rejecting verdict) for every non-selected candidate,
-        in segment order."""
-        out = []
-        for seg_id in sorted(self.records):
-            record = self.records[seg_id]
-            verdict = record.rejection
-            if verdict is not None:
-                out.append((record, verdict))
-        return out
-
     def why(self, query) -> str:
         """Human-readable decision history for a segment.
 
@@ -235,14 +226,4 @@ class DecisionLedger:
                     detail_text,
                 ]
             )
-        widths = [len(h) for h in headers]
-        for row in rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-
-        def line(cells):
-            return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-
-        out = [line(headers), line(["-" * w for w in widths])]
-        out.extend(line(row) for row in rows)
-        return "\n".join(out)
+        return render_table(headers, rows)

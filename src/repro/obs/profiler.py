@@ -59,6 +59,8 @@ from functools import partial
 from operator import getitem
 from typing import Iterator, Optional
 
+from .render import render_table
+
 __all__ = [
     "CycleProfiler",
     "CycleProfile",
@@ -274,7 +276,9 @@ class CycleProfile:
                     hmb,
                 ]
             )
-        return "Cycle attribution (self = own body cycles)\n" + _table(headers, rows)
+        return "Cycle attribution (self = own body cycles)\n" + render_table(
+            headers, rows
+        )
 
     def collapsed(self) -> str:
         """Collapsed-stack (flamegraph) format: ``a;b;c <self cycles>``
@@ -338,7 +342,7 @@ class CycleProfile:
             )
         return (
             "Measured vs ledger (est = compile-time profile, meas = this run)\n"
-            + _table(headers, rows)
+            + render_table(headers, rows)
         )
 
     def to_dict(self) -> dict:
@@ -539,17 +543,3 @@ def ledger_costs(result) -> dict[int, dict]:
 
 def _fmt(value, spec: str) -> str:
     return spec.format(value) if value is not None else "-"
-
-
-def _table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def line(cells):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)

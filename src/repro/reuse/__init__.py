@@ -11,7 +11,7 @@ from .cost_model import (
 from .granularity import GranularityAnalysis
 from .hashing_cost import annotate_costs, hashing_overhead
 from .instrument import instrument_program, instrument_segment, strip_instrumentation
-from .merging import merge_groups, merged_size_bytes, unmerged_size_bytes
+from .merging import merge_groups
 from .nesting import NestingDecision, NestingGraph
 from .pipeline import PipelineConfig, PipelineResult, ReusePipeline
 from .segments import ProgramAnalysis, Segment, enumerate_segments
@@ -32,8 +32,6 @@ __all__ = [
     "instrument_segment",
     "strip_instrumentation",
     "merge_groups",
-    "merged_size_bytes",
-    "unmerged_size_bytes",
     "NestingDecision",
     "NestingGraph",
     "PipelineConfig",

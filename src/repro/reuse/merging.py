@@ -33,26 +33,3 @@ def merge_groups(selected: list[Segment]) -> dict[str, list[Segment]]:
             member.merged_group = group_id
         groups[group_id] = members
     return groups
-
-
-def merged_size_bytes(members: list[Segment], capacity: int) -> int:
-    """Size of the merged table for ``members`` at the given capacity."""
-    in_words = members[0].in_words
-    bitvec_words = (len(members) + 31) // 32
-    out_words = sum(m.out_words for m in members)
-    entry_words = in_words + bitvec_words + out_words
-    cap = 1
-    while cap < capacity:
-        cap <<= 1
-    return cap * entry_words * 4
-
-
-def unmerged_size_bytes(members: list[Segment], capacity: int) -> int:
-    """Total size of per-segment tables for the same segments."""
-    total = 0
-    cap = 1
-    while cap < capacity:
-        cap <<= 1
-    for member in members:
-        total += cap * (member.in_words + member.out_words) * 4
-    return total

@@ -53,7 +53,10 @@ from ..runtime.hashtable import (
     SAMPLE_BUDGET as _SAMPLE_BUDGET,
     MergedReuseTable,
     ReuseTable,
-    pow2_ceil as _pow2,
+    entry_words,
+    pow2_ceil,
+    pow2_floor,
+    table_bytes,
 )
 from ..runtime.jenkins import hash_key_batch
 from ..runtime.machine import Machine
@@ -163,19 +166,41 @@ class PipelineResult:
                 return segment
         raise KeyError(seg_id)
 
+    def table_geometry(
+        self, max_table_bytes: Optional[int] = None
+    ) -> dict[object, tuple[int, int]]:
+        """{merged group or segment id: (capacity, entry words)} of every
+        table the specs describe.  ``max_table_bytes`` caps each capacity
+        at the largest power of two whose table fits in that many bytes,
+        never above the uncapped capacity, and at least 1."""
+        geometry = _table_geometry(
+            (s.segment_id, s.merged_group, s.in_words, s.out_words, s.capacity)
+            for s in self.table_specs
+        )
+        if max_table_bytes is not None:
+            geometry = {
+                key: (
+                    min(capacity, pow2_floor(max_table_bytes // table_bytes(1, words))),
+                    words,
+                )
+                for key, (capacity, words) in geometry.items()
+            }
+        return geometry
+
     def total_table_bytes(self) -> int:
-        return sum(spec_size_bytes(s, self) for s in self.table_specs)
+        return sum(table_bytes(*geometry) for geometry in self.table_geometry().values())
 
     def build_tables(
         self,
-        capacity_override: Optional[int] = None,
+        max_table_bytes: Optional[int] = None,
         governed: bool = False,
     ) -> dict[int, object]:
         """Instantiate the runtime reuse tables described by the specs.
 
         Returns {segment id: table or merged-table view} ready to install
-        on a machine.  ``capacity_override`` (entries) supports the
-        hash-table-size sweep of figures 14/15.  ``governed=True`` builds
+        on a machine.  ``max_table_bytes`` caps every table's size, as in
+        the hash-table-size sweep of figures 14/15 (see
+        :meth:`table_geometry`).  ``governed=True`` builds
         tables managed by the online reuse governor
         (:mod:`repro.runtime.governor`): each table (and each merged-table
         member) carries its segment's static ``C``/``O`` constants and the
@@ -183,15 +208,10 @@ class PipelineResult:
         """
         tables: dict[int, object] = {}
         merged_built: dict[str, MergedReuseTable] = {}
-        group_capacity: dict[str, int] = {}
+        geometry = self.table_geometry(max_table_bytes)
         spec_by_id = {spec.segment_id: spec for spec in self.table_specs}
         for spec in self.table_specs:
-            if spec.merged_group is not None:
-                group_capacity[spec.merged_group] = max(
-                    group_capacity.get(spec.merged_group, 1), spec.capacity
-                )
-        for spec in self.table_specs:
-            capacity = capacity_override or spec.capacity
+            capacity, _ = geometry[spec.merged_group or spec.segment_id]
             policy = spec.governor or GovernorPolicy()
             sample_budget = spec.sample_budget
             if spec.merged_group is not None:
@@ -201,11 +221,10 @@ class PipelineResult:
                     member_out_words = {
                         str(m.seg_id): m.out_words for m in members
                     }
-                    group_cap = capacity_override or group_capacity[spec.merged_group]
                     if governed:
                         group = GovernedMergedReuseTable(
                             spec.merged_group,
-                            capacity=group_cap,
+                            capacity=capacity,
                             in_words=members[0].in_words,
                             member_out_words=member_out_words,
                             member_costs={
@@ -222,7 +241,7 @@ class PipelineResult:
                     else:
                         group = MergedReuseTable(
                             spec.merged_group,
-                            capacity=group_cap,
+                            capacity=capacity,
                             in_words=members[0].in_words,
                             member_out_words=member_out_words,
                             sample_budget=sample_budget,
@@ -251,19 +270,24 @@ class PipelineResult:
         return tables
 
 
-def spec_size_bytes(spec: TableSpec, result: PipelineResult) -> int:
-    cap = 1
-    while cap < spec.capacity:
-        cap <<= 1
-    if spec.merged_group is not None:
-        members = result.merged[spec.merged_group]
-        bitvec = (len(members) + 31) // 32
-        entry = members[0].in_words + bitvec + sum(m.out_words for m in members)
-        # count the shared table once, attributed to the first member
-        if spec.segment_id != members[0].seg_id:
-            return 0
-        return cap * entry * 4
-    return cap * (spec.in_words + spec.out_words) * 4
+def _table_geometry(rows) -> dict[object, tuple[int, int]]:
+    """{merged group or segment id: (capacity, entry words)} of the
+    distinct tables that (segment id, merged group, in words, out words,
+    asked capacity) rows need.  A merged group is one table, keyed once,
+    at its largest member's capacity."""
+    tables: dict[object, tuple[bool, list]] = {}
+    for seg_id, group, in_words, out_words, capacity in rows:
+        _, members = tables.setdefault(
+            seg_id if group is None else group, (group is not None, [])
+        )
+        members.append((in_words, out_words, capacity))
+    return {
+        key: (
+            pow2_ceil(max(capacity for _, _, capacity in members)),
+            entry_words(members[0][0], [out for _, out, _ in members], merged),
+        )
+        for key, (merged, members) in tables.items()
+    }
 
 
 class ReusePipeline:
@@ -593,7 +617,7 @@ def _collision_adjusted_rate(profile: SegmentProfile, capacity: int) -> float:
     """
     if profile.executions == 0:
         return 0.0
-    mask = _pow2(max(1, capacity)) - 1
+    mask = pow2_ceil(capacity) - 1
     keys, counts = profile.key_counts()
     dominant: dict[int, int] = {}
     for hashed, count in zip(hash_key_batch(keys), counts):
@@ -610,25 +634,12 @@ def _capacity_for(segment: Segment, config: PipelineConfig) -> int:
     return max(1, int(segment.distinct_inputs / config.load_factor))
 
 
-def _table_bytes(selected: list[Segment], merged: dict, config: PipelineConfig) -> int:
-    total = 0
-    counted_groups: set[str] = set()
-    for segment in selected:
-        cap = _pow2(_capacity_for(segment, config))
-        if segment.merged_group is not None and segment.merged_group in merged:
-            if segment.merged_group in counted_groups:
-                continue
-            counted_groups.add(segment.merged_group)
-            members = [m for m in merged[segment.merged_group] if m in selected]
-            if not members:
-                continue
-            bitvec = (len(members) + 31) // 32
-            entry = members[0].in_words + bitvec + sum(m.out_words for m in members)
-            cap = max(_pow2(_capacity_for(m, config)) for m in members)
-            total += cap * entry * 4
-        else:
-            total += cap * (segment.in_words + segment.out_words) * 4
-    return total
+def _table_bytes(selected: list[Segment], config: PipelineConfig) -> int:
+    geometry = _table_geometry(
+        (s.seg_id, s.merged_group, s.in_words, s.out_words, _capacity_for(s, config))
+        for s in selected
+    )
+    return sum(table_bytes(*g) for g in geometry.values())
 
 
 def _enforce_budget(
@@ -639,7 +650,7 @@ def _enforce_budget(
 ) -> list[Segment]:
     """Drop lowest-total-gain segments (in place) until the tables fit."""
     dropped: list[Segment] = []
-    while selected and _table_bytes(selected, merged, config) > budget:
+    while selected and _table_bytes(selected, config) > budget:
         worst = min(
             selected, key=lambda s: s.gain * max(1, s.executions)
         )

@@ -486,10 +486,7 @@ class GovernedReuseTable(ReuseTable):
             for key, out in zip(self._keys, self._outputs)
             if key is not None
         ]
-        self.capacity = pow2_ceil(new_capacity)
-        self._mask = self.capacity - 1
-        self._keys = [None] * self.capacity
-        self._outputs = [None] * self.capacity
+        self._allocate(pow2_ceil(new_capacity))
         from .jenkins import hash_key_words
 
         for key, out in live:
@@ -499,8 +496,7 @@ class GovernedReuseTable(ReuseTable):
 
     def flush(self) -> None:
         """Drop all entries but keep statistics and governor history."""
-        self._keys = [None] * self.capacity
-        self._outputs = [None] * self.capacity
+        self._allocate(self.capacity)
         self._occupied = 0
 
 
@@ -603,11 +599,7 @@ class GovernedMergedReuseTable(MergedReuseTable):
             for key, bits, outs in zip(self._keys, self._bits, self._outputs)
             if key is not None
         ]
-        self.capacity = pow2_ceil(new_capacity)
-        self._mask = self.capacity - 1
-        self._keys = [None] * self.capacity
-        self._bits = [0] * self.capacity
-        self._outputs = [[None] * len(self.members) for _ in range(self.capacity)]
+        self._allocate(pow2_ceil(new_capacity))
         from .jenkins import hash_key_words
 
         for key, bits, outs in live:
@@ -618,9 +610,7 @@ class GovernedMergedReuseTable(MergedReuseTable):
 
     def flush(self) -> None:
         """Drop all entries but keep statistics and governor history."""
-        self._keys = [None] * self.capacity
-        self._bits = [0] * self.capacity
-        self._outputs = [[None] * len(self.members) for _ in range(self.capacity)]
+        self._allocate(self.capacity)
         self._occupied = 0
 
 

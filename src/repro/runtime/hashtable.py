@@ -15,6 +15,11 @@ Two table kinds are provided:
 hardware proposals; it exists to regenerate Table 5 (hit ratios with 1,
 4, 16, 64-entry buffers under LRU replacement).
 
+The geometry rule lives here once: :func:`entry_words` (key, output
+records, and a merged table's valid-bit vector) and :func:`table_bytes`
+(power-of-two capacity times entry words) size the tables themselves,
+the pipeline's memory budget and every reported table size.
+
 Concurrent runs may share one table (a session's warmed tables serve
 every worker thread).  Each thread keeps its own stack of in-flight
 probes, a hit carries the output record it saw at probe time, and the
@@ -43,7 +48,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .jenkins import hash_key_words
 from .values import deep_copy_value
@@ -130,8 +135,19 @@ def pow2_floor(n: int) -> int:
     return p
 
 
-# Historical internal name, kept for in-module readers.
-_pow2_at_least = pow2_ceil
+def entry_words(in_words: int, out_words: Iterable[int], merged: bool = False) -> int:
+    """Words in one table entry: the key, one output record per member
+    (``out_words``), and for a merged table the members' valid-bit
+    vector (section 2.5)."""
+    outs = list(out_words)
+    bitvec_words = (len(outs) + 31) // 32 if merged else 0
+    return in_words + bitvec_words + sum(outs)
+
+
+def table_bytes(capacity: int, words: int) -> int:
+    """Bytes of a table asked for ``capacity`` entries of ``words`` words
+    (the capacity is rounded up to a power of two, as every table's is)."""
+    return pow2_ceil(capacity) * words * _WORD_BYTES
 
 
 # Default budget for the hit-ratio time series: once full, every other
@@ -240,12 +256,9 @@ class ReuseTable(_SharedProbes):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.segment_id = segment_id
-        self.capacity = _pow2_at_least(capacity)
-        self._mask = self.capacity - 1
+        self._allocate(pow2_ceil(capacity))
         self.in_words = in_words
         self.out_words = out_words
-        self._keys: list[Optional[tuple]] = [None] * self.capacity
-        self._outputs: list[Optional[tuple]] = [None] * self.capacity
         self.stats = TableStats(sample_budget=sample_budget)
         self._occupied = 0
         # pending entries are (key, index, outputs seen on a hit or None)
@@ -266,6 +279,13 @@ class ReuseTable(_SharedProbes):
             self.stats.record_probe(hit, collision=not hit and stored is not None)
             self._observe(hit)
         return hit
+
+    def _allocate(self, capacity: int) -> None:
+        """Empty slots for ``capacity`` (a power of two) entries."""
+        self.capacity = capacity
+        self._mask = capacity - 1
+        self._keys: list[Optional[tuple]] = [None] * capacity
+        self._outputs: list[Optional[tuple]] = [None] * capacity
 
     def _observe(self, hit: bool) -> None:
         """Hook run under the lock after each probe (the governed table
@@ -319,11 +339,11 @@ class ReuseTable(_SharedProbes):
 
     @property
     def entry_words(self) -> int:
-        return self.in_words + self.out_words
+        return entry_words(self.in_words, [self.out_words])
 
     @property
     def size_bytes(self) -> int:
-        return self.capacity * self.entry_words * _WORD_BYTES
+        return table_bytes(self.capacity, self.entry_words)
 
     @property
     def occupied(self) -> int:
@@ -332,8 +352,7 @@ class ReuseTable(_SharedProbes):
     def clear(self) -> None:
         self.abandon()
         with self._lock:
-            self._keys = [None] * self.capacity
-            self._outputs = [None] * self.capacity
+            self._allocate(self.capacity)
             self._occupied = 0
             self.stats = TableStats(sample_budget=self.stats.sample_budget)
             self._published.pop("stats", None)
@@ -363,15 +382,11 @@ class MergedReuseTable(_SharedProbes):
         sample_budget: int = SAMPLE_BUDGET,
     ) -> None:
         self.table_id = table_id
-        self.capacity = _pow2_at_least(max(1, capacity))
-        self._mask = self.capacity - 1
         self.in_words = in_words
         self.members = list(member_out_words)
         self._member_index = {seg: i for i, seg in enumerate(self.members)}
         self.member_out_words = dict(member_out_words)
-        self._keys: list[Optional[tuple]] = [None] * self.capacity
-        self._bits: list[int] = [0] * self.capacity
-        self._outputs: list[list] = [[None] * len(self.members) for _ in range(self.capacity)]
+        self._allocate(pow2_ceil(capacity))
         self.stats_per_member: dict[str, TableStats] = {
             seg: TableStats(sample_budget=sample_budget) for seg in self.members
         }
@@ -382,6 +397,14 @@ class MergedReuseTable(_SharedProbes):
     def view(self, segment_id: str) -> "MergedTableView":
         """The per-segment facade the interpreter binds to a segment id."""
         return MergedTableView(self, self._member_index[segment_id])
+
+    def _allocate(self, capacity: int) -> None:
+        """Empty slots for ``capacity`` (a power of two) entries."""
+        self.capacity = capacity
+        self._mask = capacity - 1
+        self._keys: list[Optional[tuple]] = [None] * capacity
+        self._bits: list[int] = [0] * capacity
+        self._outputs: list[list] = [[None] * len(self.members) for _ in range(capacity)]
 
     # -- internals used by MergedTableView ----------------------------------
 
@@ -454,12 +477,11 @@ class MergedReuseTable(_SharedProbes):
 
     @property
     def entry_words(self) -> int:
-        bitvec_words = (len(self.members) + 31) // 32
-        return self.in_words + bitvec_words + sum(self.member_out_words.values())
+        return entry_words(self.in_words, self.member_out_words.values(), merged=True)
 
     @property
     def size_bytes(self) -> int:
-        return self.capacity * self.entry_words * _WORD_BYTES
+        return table_bytes(self.capacity, self.entry_words)
 
     @property
     def occupied(self) -> int:

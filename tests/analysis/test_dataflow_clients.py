@@ -282,4 +282,3 @@ class TestCoverage:
         be = BetweenExecutions(cfg, region, ex)
         k = prog.global_var("k").decl.symbol
         assert not be.modifies(k)
-        assert k in be.invariant_symbols(frozenset({k}))

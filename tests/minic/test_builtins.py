@@ -1,6 +1,6 @@
 """Tests for the builtin registry."""
 
-from repro.minic.builtins import BUILTINS, is_builtin
+from repro.minic.builtins import BUILTINS
 
 
 def test_core_builtins_present():
@@ -11,7 +11,7 @@ def test_core_builtins_present():
         "__reuse_out_i", "__reuse_out_f", "__reuse_out_arr",
         "__profile", "__seg_enter", "__seg_exit",
     ):
-        assert is_builtin(name), name
+        assert name in BUILTINS, name
 
 
 def test_compiler_only_flags():
@@ -33,5 +33,5 @@ def test_variadic_signatures():
 
 
 def test_unknown_name():
-    assert not is_builtin("__nope")
-    assert not is_builtin("main")
+    assert "__nope" not in BUILTINS
+    assert "main" not in BUILTINS

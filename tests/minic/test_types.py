@@ -9,9 +9,7 @@ from repro.minic.types import (
     PointerType,
     common_arith_type,
     decay,
-    is_arith,
     is_float,
-    is_integer,
 )
 
 
@@ -45,9 +43,7 @@ def test_predicates():
     assert not INT.is_pointer and not INT.is_array
     assert PointerType(INT).is_pointer
     assert ArrayType(INT, 2).is_array
-    assert is_integer(INT) and not is_integer(FLOAT)
     assert is_float(FLOAT) and not is_float(INT)
-    assert is_arith(INT) and is_arith(FLOAT) and not is_arith(VOID)
 
 
 def test_decay():

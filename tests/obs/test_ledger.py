@@ -43,18 +43,6 @@ class TestLedgerBasics:
         assert record.selected is True
         assert record.rejection is None
 
-    def test_rejections_lists_only_failures(self):
-        ledger = DecisionLedger()
-        ledger.open(FakeSegment(1))
-        ledger.record(1, "feasibility", False, reason="io")
-        ledger.open(FakeSegment(2))
-        ledger.record(2, "selected", True)
-        rejections = ledger.rejections()
-        assert len(rejections) == 1
-        record, verdict = rejections[0]
-        assert record.seg_id == 1
-        assert verdict.stage == "feasibility"
-
 
 class TestWhy:
     def make(self):

@@ -10,11 +10,10 @@ from repro.reuse import (
     ReusePipeline,
     Specializer,
     merge_groups,
-    merged_size_bytes,
-    unmerged_size_bytes,
 )
 from repro.reuse.segments import ProgramAnalysis, Segment, enumerate_segments
 from repro.runtime import Machine, compile_program
+from repro.runtime.hashtable import entry_words, table_bytes
 
 
 def _make_segment(seg_id, kind, func, region, control, gain, execs):
@@ -278,8 +277,9 @@ class TestMerging:
             seg.inputs = list(shapes)
             seg.outputs = [IOShape(Symbol(f"o{i}", INT, "local"), 1, False, False)]
             members.append(seg)
-        merged = merged_size_bytes(members, capacity=1024)
-        unmerged = unmerged_size_bytes(members, capacity=1024)
+        in_words, out_words = members[0].in_words, [m.out_words for m in members]
+        merged = table_bytes(1024, entry_words(in_words, out_words, merged=True))
+        unmerged = sum(table_bytes(1024, entry_words(in_words, [w])) for w in out_words)
         assert merged < unmerged
         # 8 tables of (4 in + 1 out) vs 1 table of (4 in + 1 bitvec + 8 out)
         assert unmerged / merged == pytest.approx(40 / 13, rel=0.01)

@@ -157,15 +157,15 @@ def test_optimizer_preserves_behaviour(case):
 
 @settings(max_examples=20, deadline=None)
 @given(kernel_program(), st.integers(min_value=0, max_value=2))
-def test_reuse_transform_preserves_behaviour(case, capacity_exp):
+def test_reuse_transform_preserves_behaviour(case, size_exp):
     source, inputs = case
     r0, c0 = _run(frontend(source), inputs, "O0")
     result = ReusePipeline(
         source,
         PipelineConfig(min_executions=4, enable_cost_filter=False),
     ).run(inputs)
-    capacity = 4 ** (capacity_exp + 1)  # tiny tables stress replacement
-    tables = result.build_tables(capacity_override=capacity)
+    # tiny tables (16, 64 or 256 bytes: a handful of entries) stress replacement
+    tables = result.build_tables(max_table_bytes=16 * 4**size_exp)
     rt, ct = _run(result.program, inputs, "O0", tables)
     assert (r0, c0) == (rt, ct), format_program(result.program)
 
